@@ -146,11 +146,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    data = _load_merged_dict(args.config, args.set)
     out_dir = Path(args.out_dir)
     if args.resume:
+        if args.config or args.set:
+            raise ConfigError("--resume takes its configuration from the checkpoint; drop --config/--set")
         trainer = Trainer.from_checkpoint(args.resume, out_dir=out_dir)
     else:
+        data = _load_merged_dict(args.config, args.set)
         env_kwargs, train_kwargs = split_config_dict(data)
         if args.updates is not None:
             train_kwargs["total_updates"] = args.updates
@@ -277,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a trained checkpoint with decentralized execution")
     p.add_argument("--checkpoint", required=True, help="checkpoint .npz path")
     p.add_argument("--episodes", type=int, default=8)
-    p.add_argument("--mode", choices=("greedy", "sample"), default="greedy")
+    p.add_argument("--mode", choices=("greedy", "sample"), default="sample",
+                   help="sample the stochastic policy (default) or take each head's mode")
     p.add_argument("--config", "-c", help="optional env config override file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="config override")
     common(p, None)

@@ -61,7 +61,6 @@ class EnvConfig:
     stay_unavailable: float | Sequence[float] = 0.5
     queue_capacity: int | Sequence[int] = 3
     query_cost: float = 0.005
-    discount: float = 0.99
     horizon: int = 512
     seed: int = 0
     aoi_cap: int = 64
@@ -86,7 +85,6 @@ class EnvConfig:
         set_(self, "stay_unavailable", _per_entity(self.stay_unavailable, k, "stay_unavailable", _as_float))
         set_(self, "queue_capacity", _per_entity(self.queue_capacity, k, "queue_capacity", _as_int))
         set_(self, "query_cost", _as_float(self.query_cost, "query_cost"))
-        set_(self, "discount", _as_float(self.discount, "discount"))
         set_(self, "horizon", _as_int(self.horizon, "horizon"))
         set_(self, "seed", _as_int(self.seed, "seed"))
         set_(self, "aoi_cap", _as_int(self.aoi_cap, "aoi_cap"))
@@ -104,8 +102,6 @@ class EnvConfig:
                 raise ConfigError("queue_capacity must be >= 1")
         if self.query_cost < 0.0:
             raise ConfigError("query_cost must be >= 0")
-        if not 0.0 <= self.discount < 1.0:
-            raise ConfigError("discount must lie in [0, 1)")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.aoi_cap < 1:
@@ -116,10 +112,10 @@ class EnvConfig:
 class TrainConfig:
     """Hyperparameters of the PPO/MAPPO update loop.
 
-    The training discount is a credit-assignment knob, deliberately shorter
-    than the environment objective's discount: queue-level consequences of a
-    dispatch or query play out within roughly capacity/service-rate slots,
-    and longer horizons drown that signal in return noise.
+    The training discount is a credit-assignment knob, deliberately short:
+    queue-level consequences of a dispatch or query play out within roughly
+    capacity/service-rate slots, and longer horizons drown that signal in
+    return noise.
     """
 
     clip_epsilon: float = 0.2
@@ -139,9 +135,6 @@ class TrainConfig:
     max_grad_norm: float = 0.5
     normalize_advantages: bool = True
     normalize_values: bool = True
-    # sampled decentralized execution evaluates the stochastic policy as
-    # trained; greedy argmax execution is available for deployment studies
-    greedy_eval: bool = False
     # Condition the dispatch head on the observation refreshed with this
     # slot's own query responses (queries return within the slot). Default
     # keeps both heads on the pre-query observation.
@@ -149,6 +142,10 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         set_ = object.__setattr__
+        for f in fields(self):  # annotations are strings under postponed evaluation
+            conv = {"float": _as_float, "int": _as_int}.get(f.type)
+            if conv is not None:
+                set_(self, f.name, conv(getattr(self, f.name), f.name))
         set_(self, "hidden_sizes", tuple(_as_int(h, "hidden_sizes") for h in self.hidden_sizes))
         if self.clip_epsilon <= 0.0:
             raise ConfigError("clip_epsilon must be > 0")
@@ -246,20 +243,16 @@ def apply_overrides(base: dict[str, Any], assignments: Sequence[str]) -> dict[st
 def split_config_dict(data: dict[str, Any]) -> tuple[dict[str, Any], dict[str, Any]]:
     """Split a flat config dict into EnvConfig / TrainConfig kwargs.
 
-    ``discount`` feeds both configs. Unknown keys raise, so typos do not
-    silently fall back to defaults.
+    Unknown keys raise, so typos do not silently fall back to defaults.
     """
     env_kwargs: dict[str, Any] = {}
     train_kwargs: dict[str, Any] = {}
     for key, value in data.items():
-        known = False
         if key in ENV_FIELDS:
             env_kwargs[key] = value
-            known = True
-        if key in TRAIN_FIELDS:
+        elif key in TRAIN_FIELDS:
             train_kwargs[key] = value
-            known = True
-        if not known:
+        else:
             raise ConfigError(f"unknown config key {key!r}")
     return env_kwargs, train_kwargs
 

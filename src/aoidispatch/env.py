@@ -106,7 +106,6 @@ class WorldState:
     knowledge: list[KnowledgeSnapshot]
     arrivals: list[bool]
     next_job_id: int = 0
-    pending_feedback: list[FeedbackEvent] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,6 @@ class StepOutcome:
     observations: tuple[KnowledgeSnapshot, ...]
     arrivals: tuple[bool, ...]
     feedback: tuple[FeedbackEvent, ...]
-    query_responses: tuple[QueryResponse, ...]
 
 
 def stationary_distribution(stay_available: float, stay_unavailable: float) -> tuple[float, float]:
@@ -348,7 +346,6 @@ def step(
         )
     world.arrivals = [rng.random() < lam for lam in config.arrival_prob]
     world.slot += 1
-    world.pending_feedback = events
 
     return StepOutcome(
         rewards=tuple(rewards),
@@ -359,7 +356,6 @@ def step(
         observations=tuple(observe(world, n) for n in range(config.n_dispatchers)),
         arrivals=tuple(world.arrivals),
         feedback=tuple(events),
-        query_responses=tuple(responses),
     )
 
 

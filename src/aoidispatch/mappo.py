@@ -126,18 +126,48 @@ class ActorGroup:
         logits = np.vstack([net.forward(obs[i : i + 1]) for i, net in enumerate(self.nets)])
         return PolicyHeads(logits, k)
 
-    def net_for_agent(self, agent: int) -> DenseNet:
-        return self.nets[0] if self.shared else self.nets[agent]
+
+def select_actions(
+    actors: ActorGroup,
+    env: DispatchEnv,
+    obs: np.ndarray,
+    two_phase: bool,
+    rng: Optional[np.random.Generator] = None,
+) -> tuple[np.ndarray, np.ndarray, PolicyHeads, PolicyHeads, np.ndarray]:
+    """One decentralized decision per dispatcher: query bits, then dispatch.
+
+    Samples with ``rng``, or takes each head's mode when ``rng`` is None.
+    A two-phase policy issues its queries on ``env`` and conditions the
+    dispatch head on ``obs`` refreshed with the responses; otherwise the
+    dispatch head is the query head. Returns ``(bits, dispatch, heads,
+    dispatch_heads, dispatch_obs)``.
+    """
+    heads = actors.heads(obs)
+    bits = heads.greedy_queries() if rng is None else heads.sample_queries(rng)
+    dispatch_heads, dispatch_obs = heads, obs
+    if two_phase:
+        responses = env.process_queries([[bool(b) for b in row] for row in bits])
+        dispatch_obs = refresh_encoded_obs(obs, responses, env.config)
+        dispatch_heads = actors.heads(dispatch_obs)
+    if rng is None:
+        disp = dispatch_heads.greedy_dispatch(env.arrivals)
+    else:
+        disp = dispatch_heads.sample_dispatch(rng, env.arrivals)
+    return bits, disp, heads, dispatch_heads, dispatch_obs
 
 
 class MappoPolicy:
-    """Decentralized execution of trained actors (the critic is not used)."""
+    """Decentralized execution of trained actors (the critic is not used).
+
+    Actions are sampled from the stochastic policy as trained; ``greedy``
+    takes each head's mode instead.
+    """
 
     def __init__(
         self,
         actors: ActorGroup,
         env_config: EnvConfig,
-        greedy: bool = True,
+        greedy: bool = False,
         two_phase: bool = False,
     ):
         self.actors = actors
@@ -158,20 +188,8 @@ class MappoPolicy:
             )
         snaps = [env.observe(n) for n in range(cfg.n_dispatchers)]
         obs = encode_actor_batch(snaps, cfg, self.actors.shared)
-        heads = self.actors.heads(obs)
-        if not self.two_phase:
-            if self.greedy:
-                bits, disp = heads.greedy(env.arrivals)
-            else:
-                bits, disp = heads.sample(self._rng, env.arrivals)
-            return to_joint_action(bits, disp)
-        bits = heads.greedy_queries() if self.greedy else heads.sample_queries(self._rng)
-        responses = env.process_queries([[bool(b) for b in row] for row in bits])
-        heads2 = self.actors.heads(refresh_encoded_obs(obs, responses, cfg))
-        if self.greedy:
-            disp = heads2.greedy_dispatch(env.arrivals)
-        else:
-            disp = heads2.sample_dispatch(self._rng, env.arrivals)
+        rng = None if self.greedy else self._rng
+        bits, disp, *_ = select_actions(self.actors, env, obs, self.two_phase, rng)
         return to_joint_action(bits, disp)
 
 
@@ -292,25 +310,17 @@ def collect_rollout(
         snaps = [env.observe(i) for i in range(n)]
         obs = encode_actor_batch(snaps, cfg, actors.shared)
         state = encode_critic_state(env.world, cfg)
-        heads = actors.heads(obs)
-        arrivals = list(env.arrivals)
-        if two_phase:
-            bits = heads.sample_queries(rng)
-            responses = env.process_queries([[bool(b) for b in row] for row in bits])
-            obs2 = refresh_encoded_obs(obs, responses, cfg)
-            heads2 = actors.heads(obs2)
-            disp = heads2.sample_dispatch(rng, arrivals)
-            lp = heads.log_prob_queries(bits) + heads2.log_prob_dispatch(disp)
-            actor_obs_refreshed[t] = obs2
-        else:
-            bits, disp = heads.sample(rng, arrivals)
-            lp = heads.log_prob(bits, disp)
+        bits, disp, heads, dispatch_heads, dispatch_obs = select_actions(
+            actors, env, obs, two_phase, rng
+        )
+        log_probs[t] = heads.log_prob_queries(bits) + dispatch_heads.log_prob_dispatch(disp)
         outcome = env.step(to_joint_action(bits, disp))
 
         actor_obs[t] = obs
+        if two_phase:
+            actor_obs_refreshed[t] = dispatch_obs
         query_bits[t] = bits
         dispatch[t] = disp
-        log_probs[t] = lp
         states[t] = state
         rewards[t] = outcome.team_reward
         if env.done:
@@ -391,6 +401,8 @@ class SurrogateResult:
     mean_ratio: float
     clip_fraction: float
     n_excluded: int
+    # d(objective)/d(new log-prob) per sample
+    grad_coeff: np.ndarray
 
 
 def clipped_surrogate(
@@ -403,7 +415,10 @@ def clipped_surrogate(
 
     Per sample the contribution is ``min(ratio * adv, clip(ratio) * adv)``
     with the ratio of new to old action probability. Samples with a
-    non-finite ratio are excluded and counted.
+    non-finite ratio are excluded and counted. ``grad_coeff`` is the
+    objective's derivative in each new log-prob: ``ratio * adv / n_used``
+    where the unclipped term is the minimum, zero where it is clipped or
+    excluded.
     """
     new_log_probs = np.asarray(new_log_probs, dtype=np.float64)
     old_log_probs = np.asarray(old_log_probs, dtype=np.float64)
@@ -422,7 +437,8 @@ def clipped_surrogate(
     objective = float(per_sample.sum() / n_used)
     mean_ratio = float(safe_ratio[finite].mean()) if finite.any() else float("nan")
     clip_fraction = float((np.abs(safe_ratio - 1.0) > clip_epsilon)[finite].mean()) if finite.any() else 0.0
-    return SurrogateResult(objective, mean_ratio, clip_fraction, n_excluded)
+    grad_coeff = np.where(finite & (unclipped <= clipped), unclipped, 0.0) / n_used
+    return SurrogateResult(objective, mean_ratio, clip_fraction, n_excluded, grad_coeff)
 
 
 def value_loss(values: np.ndarray, targets: np.ndarray) -> float:
@@ -541,15 +557,10 @@ def mappo_update(
                 idx = pool[mb]
                 bits, disp = flat_bits[idx], flat_disp[idx]
                 has_disp = disp >= 0
-                if two_phase:
-                    heads_u = PolicyHeads(net.forward(flat_obs2[idx]), k)
-                    heads_q = PolicyHeads(net.forward(flat_obs[idx]), k)  # cache: phase 1
-                    new_lp = heads_q.log_prob_queries(bits) + heads_u.log_prob_dispatch(disp)
-                    entropy = heads_q.entropy_queries() + heads_u.entropy_dispatch(has_disp)
-                else:
-                    heads = PolicyHeads(net.forward(flat_obs[idx]), k)
-                    new_lp = heads.log_prob(bits, disp)
-                    entropy = heads.entropy(has_disp)
+                heads_q = PolicyHeads(net.forward(flat_obs[idx]), k)
+                heads_d = PolicyHeads(net.forward(flat_obs2[idx]), k) if two_phase else heads_q
+                new_lp = heads_q.log_prob_queries(bits) + heads_d.log_prob_dispatch(disp)
+                entropy = heads_q.entropy_queries() + heads_d.entropy_dispatch(has_disp)
                 surr = clipped_surrogate(new_lp, flat_old_lp[idx], flat_adv[idx], cfg.clip_epsilon)
                 ent_mean = float(entropy.mean())
                 if first_ratio is None:
@@ -558,36 +569,23 @@ def mappo_update(
                     aborted += 1
                     continue
 
-                batch = idx.size
-                with np.errstate(over="ignore"):
-                    ratio = np.exp(new_lp - flat_old_lp[idx])
-                finite = np.isfinite(ratio)
-                safe_ratio = np.where(finite, ratio, 0.0)
-                unclipped = safe_ratio * flat_adv[idx]
-                clipped = np.clip(safe_ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * flat_adv[idx]
-                active = (unclipped <= clipped) & finite
-                n_used = max(int(finite.sum()), 1)
-                coeff = np.where(active, safe_ratio * flat_adv[idx], 0.0) / n_used
+                coeff, ent_scale = surr.grad_coeff[:, None], cfg.entropy_coef / idx.size
+                g_q = (
+                    -coeff * heads_q.grad_log_prob_queries(bits)
+                    - ent_scale * heads_q.grad_entropy_queries()
+                )
+                g_d = (
+                    -coeff * heads_d.grad_log_prob_dispatch(disp)
+                    - ent_scale * heads_d.grad_entropy_dispatch(has_disp)
+                )
                 if two_phase:
-                    # phase-1 cache is live: backprop the query-head terms,
-                    # then rerun phase 2 and backprop the dispatch-head terms
-                    g_q = (
-                        -coeff[:, None] * heads_q.grad_log_prob_queries(bits)
-                        - (cfg.entropy_coef / batch) * heads_q.grad_entropy_queries()
-                    )
-                    grads = net.backward(g_q)
-                    net.forward(flat_obs2[idx])
-                    g_u = (
-                        -coeff[:, None] * heads_u.grad_log_prob_dispatch(disp)
-                        - (cfg.entropy_coef / batch) * heads_u.grad_entropy_dispatch(has_disp)
-                    )
-                    grads = [a + b for a, b in zip(grads, net.backward(g_u))]
+                    # the cache holds the dispatch forward: backprop it, then
+                    # rerun the query forward and backprop the query terms
+                    grads = net.backward(g_d)
+                    net.forward(flat_obs[idx])
+                    grads = [a + b for a, b in zip(grads, net.backward(g_q))]
                 else:
-                    dlogits = (
-                        -coeff[:, None] * heads.grad_log_prob(bits, disp)
-                        - (cfg.entropy_coef / batch) * heads.grad_entropy(has_disp)
-                    )
-                    grads = net.backward(dlogits)
+                    grads = net.backward(g_q + g_d)
                 if not opt.step(net.params, grads):
                     aborted += 1
                     continue
@@ -765,6 +763,8 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
             f"checkpoint {path} has format version {meta.get('format_version')}, "
             f"expected {CHECKPOINT_FORMAT_VERSION}"
         )
+    for section, retired in (("env_config", "discount"), ("train_config", "greedy_eval")):
+        meta[section].pop(retired, None)  # removed fields that older checkpoints carry
     env_config = EnvConfig(**meta["env_config"])
     train_config = TrainConfig(**meta["train_config"])
     rng = np.random.default_rng(0)
@@ -799,7 +799,7 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
     )
 
 
-def load_policy(path: str | Path, greedy: bool = True) -> tuple[MappoPolicy, EnvConfig]:
+def load_policy(path: str | Path, greedy: bool = False) -> tuple[MappoPolicy, EnvConfig]:
     """Evaluation-only load: actors plus the env config they were trained on."""
     bundle = load_checkpoint(path)
     policy = MappoPolicy(
@@ -883,9 +883,7 @@ class Trainer:
         trainer.update_index = bundle.update_index
         return trainer
 
-    def policy(self, greedy: Optional[bool] = None) -> MappoPolicy:
-        if greedy is None:
-            greedy = self.train_config.greedy_eval
+    def policy(self, greedy: bool = False) -> MappoPolicy:
         return MappoPolicy(
             self.actors,
             self.env_config,

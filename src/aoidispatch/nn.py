@@ -284,19 +284,6 @@ class PolicyHeads:
         where a dispatch happened. Nonnegative by construction."""
         return self.entropy_queries() + self.entropy_dispatch(has_dispatch)
 
-    def log_prob_and_entropy(
-        self, query_bits: Sequence[int], dispatch: Optional[int]
-    ) -> tuple[float, float]:
-        """Single-sample convenience: joint log-prob and entropy for one
-        action (dispatch None when no job arrived)."""
-        if self.batch != 1:
-            raise ContractViolation("single-sample call on a batched head")
-        bits = np.asarray(query_bits, dtype=np.int8)[None, :]
-        disp = np.array([-1 if dispatch is None else dispatch], dtype=np.int64)
-        lp = self.log_prob(bits, disp)
-        ent = self.entropy([dispatch is not None])
-        return float(lp[0]), float(ent[0])
-
     def grad_log_prob_queries(self, bits: np.ndarray) -> np.ndarray:
         """d(query log-prob)/d(raw logits), dispatch columns zero."""
         bits = np.asarray(bits, dtype=np.float64)

@@ -19,7 +19,15 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from .baselines import BaselineKind, BaselinePolicy, parse_policy_spec
-from .config import EnvConfig, TrainConfig, config_as_dict, load_config_dict
+from .config import (
+    ENV_FIELDS,
+    TRAIN_FIELDS,
+    EnvConfig,
+    TrainConfig,
+    _as_int,
+    config_as_dict,
+    load_config_dict,
+)
 from .env import DispatchEnv
 from .errors import AccountingError, ConfigError
 from .mappo import Trainer, _derived_seed, evaluate, load_policy
@@ -38,7 +46,6 @@ def default_config() -> EnvConfig:
         stay_unavailable=(0.50, 0.95, 0.50, 0.95, 0.50),
         queue_capacity=3,
         query_cost=0.005,
-        discount=0.99,
         horizon=512,
         seed=0,
         aoi_cap=64,
@@ -114,9 +121,18 @@ class SweepSpec:
             policies = list(data["policies"])
         except KeyError as exc:
             raise ConfigError(f"sweep spec is missing {exc.args[0]!r}") from exc
-        seeds = list(data.get("seeds", [0, 1, 2, 3, 4]))
-        base_env = EnvConfig(**data.get("env", {}))
-        train = TrainConfig(**data.get("train", {}))
+        seeds = [_as_int(s, "seeds") for s in data.get("seeds", [0, 1, 2, 3, 4])]
+        env_kwargs, train_kwargs = data.get("env", {}), data.get("train", {})
+        for section, kwargs, allowed in (
+            ("env", env_kwargs, ENV_FIELDS), ("train", train_kwargs, TRAIN_FIELDS)
+        ):
+            if not isinstance(kwargs, dict):
+                raise ConfigError(f"sweep {section!r} section must be an object")
+            unknown = set(kwargs) - allowed
+            if unknown:
+                raise ConfigError(f"unknown {section} keys in sweep spec: {sorted(unknown)}")
+        base_env = EnvConfig(**env_kwargs)
+        train = TrainConfig(**train_kwargs)
         return cls(
             swept_parameter=swept,
             values=values,
@@ -124,7 +140,7 @@ class SweepSpec:
             seeds=seeds,
             base_env=base_env,
             train=train,
-            eval_episodes=int(data.get("eval_episodes", 4)),
+            eval_episodes=_as_int(data.get("eval_episodes", 4), "eval_episodes"),
         )
 
     @classmethod

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from aoidispatch import AccountingError, ConfigError, EnvConfig, TrainConfig
+from aoidispatch import AccountingError, ConfigError, EnvConfig, TrainConfig, Trainer
 from aoidispatch.cli import main
 from aoidispatch.sweep import (
     ResultRow,
@@ -16,6 +16,8 @@ from aoidispatch.sweep import (
     emit_report,
     run_sweep,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestDefaultConfig:
@@ -131,6 +133,34 @@ class TestRunSweep:
         record = json.loads(lines[0])
         assert record["policy"] == "never"
         assert record["query_cost"] == 0.05
+
+
+BAD_SPEC_SECTIONS = [
+    {"env": {"bogus": 1}},
+    {"train": {"learning_rat": 1}},
+    {"train": {"clip_epsilon": "x"}},
+    {"env": [1, 2]},
+    {"eval_episodes": "x"},
+    {"seeds": [0, "one"]},
+]
+
+
+class TestSweepSpec:
+    @pytest.mark.parametrize("bad", BAD_SPEC_SECTIONS)
+    def test_bad_section_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            SweepSpec.from_dict({**tiny_spec_dict(["never"]), **bad})
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_specs_validate(self, path):
+        spec = SweepSpec.from_file(path)
+        cells = spec.validate()
+        assert len(cells) == len(spec.values)
+
+    def test_shipped_specs_cover_the_readme(self):
+        names = {p.name for p in (ROOT / "configs").glob("*.json")}
+        assert {"sweep_query_cost.json", "sweep_arrival_prob.json",
+                "sweep_n_dispatchers.json"} <= names
 
 
 class TestEmitReport:
@@ -298,6 +328,40 @@ class TestCliVerbs:
         assert rc == 0
         rows = (tmp_path / "out" / "rows.csv").read_text().splitlines()
         assert len(rows) == 2  # header + one row
+
+    def test_evaluate_defaults_to_sampling(self, tmp_path, capsys):
+        trainer = Trainer(EnvConfig(**tiny_env_kwargs()), TrainConfig(hidden_sizes=(8,)), seed=0)
+        ckpt = trainer.save(tmp_path / "ckpt.npz")
+        capsys.readouterr()
+        rc = main(["evaluate", "--checkpoint", str(ckpt), "--episodes", "1"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[0])["mode"] == "sample"
+
+    @pytest.mark.parametrize("flag", ["--set", "--config"])
+    def test_resume_rejects_config_changes(self, tmp_path, capsys, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"query_cost": 0.5}))
+        trainer = Trainer(EnvConfig(**tiny_env_kwargs()), TrainConfig(hidden_sizes=(8,)), seed=0)
+        ckpt = trainer.save(tmp_path / "ckpt.npz")
+        value = "query_cost=0.5" if flag == "--set" else str(cfg)
+        rc = main(["train", "--resume", str(ckpt), "--updates", "1",
+                   "--out-dir", str(tmp_path / "run"), flag, value])
+        assert rc == 2
+        assert "--resume" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_non_numeric_train_value_fails_cleanly(self, tmp_path, capsys):
+        rc = main(["train", "--set", "clip_epsilon=abc", "--out-dir", str(tmp_path / "run")])
+        assert rc == 2
+        assert "clip_epsilon must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", BAD_SPEC_SECTIONS[:3])
+    def test_bad_sweep_spec_fails_cleanly(self, tmp_path, capsys, bad):
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps({**tiny_spec_dict(["never"]), **bad}))
+        rc = main(["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "env.cfg"

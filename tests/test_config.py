@@ -45,7 +45,7 @@ class TestEnvConfig:
             dict(stay_available=1.0, stay_unavailable=1.0),
             dict(queue_capacity=0),
             dict(query_cost=-0.01),
-            dict(discount=1.0),
+            dict(query_cost="cheap"),
             dict(horizon=0),
             dict(n_dispatchers=0),
             dict(aoi_cap=0),
@@ -84,11 +84,21 @@ class TestTrainConfig:
             dict(minibatch_count=0),
             dict(hidden_sizes=()),
             dict(max_grad_norm=0.0),
+            dict(clip_epsilon="x"),
+            dict(learning_rate=None),
+            dict(discount=True),
+            dict(rollout_length=2.5),
+            dict(total_updates="10"),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+    def test_numbers_coerced(self):
+        cfg = TrainConfig(clip_epsilon=1, rollout_length=64.0)
+        assert type(cfg.clip_epsilon) is float and cfg.clip_epsilon == 1.0
+        assert type(cfg.rollout_length) is int and cfg.rollout_length == 64
 
     def test_hidden_sizes_normalized(self):
         assert TrainConfig(hidden_sizes=[32, 16]).hidden_sizes == (32, 16)
@@ -160,8 +170,11 @@ class TestOverridesAndSplit:
         env_kwargs, train_kwargs = split_config_dict(
             {"n_servers": 3, "learning_rate": 0.001, "discount": 0.9}
         )
-        assert env_kwargs == {"n_servers": 3, "discount": 0.9}
+        assert env_kwargs == {"n_servers": 3}
         assert train_kwargs == {"learning_rate": 0.001, "discount": 0.9}
+
+    def test_discount_routes_to_training_only(self):
+        assert split_config_dict({"discount": 0.99}) == ({}, {"discount": 0.99})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):

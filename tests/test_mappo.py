@@ -1,5 +1,6 @@
 """Trainer stack tests: GAE, losses, the update, evaluation, checkpoints."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -143,6 +144,22 @@ class TestClippedSurrogate:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             clipped_surrogate(np.zeros(2), np.zeros(3), np.zeros(2), 0.2)
+
+    def test_grad_coeff_matches_finite_differences(self):
+        # ratios 1.05 (unclipped), 1.5 / 0.5 (clipped either side), inf (excluded)
+        old = np.zeros(5)
+        new = np.log([1.05, 1.5, 0.5, 0.9, 1.0]) + np.array([0, 0, 0, 0, 1000.0])
+        adv = np.array([1.0, 1.0, -1.0, -0.5, 1.0])
+        result = clipped_surrogate(new, old, adv, 0.2)
+        assert result.n_excluded == 1
+        h = 1e-6
+        for i in range(5):
+            bump = np.zeros(5)
+            bump[i] = h
+            up = clipped_surrogate(new + bump, old, adv, 0.2).objective
+            down = clipped_surrogate(new - bump, old, adv, 0.2).objective
+            assert result.grad_coeff[i] == pytest.approx((up - down) / (2 * h), abs=1e-8)
+        assert result.grad_coeff[1] == result.grad_coeff[2] == result.grad_coeff[4] == 0.0
 
 
 class TestValueAndTotalLoss:
@@ -452,6 +469,25 @@ class TestCheckpoints:
         assert resumed.update_index == 2
         resumed.train(n_updates=1)
         assert resumed.update_index == 3
+
+    def test_checkpoint_with_retired_keys_loads(self, tmp_path):
+        env_cfg, train_cfg = small_setup()
+        trainer = Trainer(env_cfg, train_cfg, seed=47)
+        trainer.run_update()
+        path = trainer.save(tmp_path / "ckpt.npz")
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = json.loads(bytes(arrays.pop("meta")).decode())
+        meta["env_config"]["discount"] = 0.99
+        meta["train_config"]["greedy_eval"] = False
+        old = tmp_path / "old.npz"
+        np.savez_compressed(old, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        bundle = load_checkpoint(old)
+        assert bundle.env_config == env_cfg and bundle.train_config == train_cfg
+        policy, _ = load_policy(old)
+        r1 = evaluate(trainer.policy(), env_cfg, episodes=2, seed=79)
+        r2 = evaluate(policy, env_cfg, episodes=2, seed=79)
+        assert r1 == r2
 
     def test_missing_checkpoint_rejected(self):
         with pytest.raises(ConfigError):

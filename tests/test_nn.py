@@ -125,7 +125,7 @@ class TestPolicyHeads:
     def test_half_probability_query_log_prob(self):
         heads = PolicyHeads(np.zeros((1, 10)), n_servers=5)
         for bits in ([0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [1, 0, 1, 0, 1]):
-            lp, _ = heads.log_prob_and_entropy(bits, None)
+            lp = heads.log_prob([bits], [-1])[0]
             assert lp == pytest.approx(5 * np.log(0.5), abs=1e-12)
 
     def test_near_deterministic_head_entropy_vanishes(self):
@@ -154,14 +154,14 @@ class TestPolicyHeads:
         with pytest.raises(ContractViolation):
             heads.log_prob(np.zeros((1, 2), dtype=np.int8), np.array([2]))
         with pytest.raises(ContractViolation):
-            heads.log_prob_and_entropy([0, 0], 5)
+            heads.log_prob([[0, 0]], [5])
 
     def test_no_dispatch_excludes_categorical_terms(self):
         rng = np.random.default_rng(4)
         logits = rng.standard_normal((1, 6))
         heads = PolicyHeads(logits, n_servers=3)
-        lp_none, ent_none = heads.log_prob_and_entropy([1, 0, 1], None)
-        lp_disp, ent_disp = heads.log_prob_and_entropy([1, 0, 1], 0)
+        lp_none, ent_none = heads.log_prob([[1, 0, 1]], [-1])[0], heads.entropy([False])[0]
+        lp_disp, ent_disp = heads.log_prob([[1, 0, 1]], [0])[0], heads.entropy([True])[0]
         assert lp_disp < lp_none  # categorical log-prob is negative
         assert ent_disp > ent_none
 
