@@ -10,11 +10,11 @@ slot, so a dispatcher that just paid for fresh state gets to use it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .env import DispatchEnv, JointAction, KnowledgeSnapshot, QueryResponse
+from .env import DispatchEnv, JointAction, Knowledge, QueryResponses, dispatch_targets
 from .errors import ConfigError
 
 NEVER = "never"
@@ -43,59 +43,46 @@ class BaselineKind:
 
 
 def baseline_queries(
-    kind: BaselineKind, n_servers: int, rng: np.random.Generator
-) -> list[bool]:
-    """Query bits for one dispatcher for one slot."""
-    if kind.variant == NEVER:
-        return [False] * n_servers
-    if kind.variant == ALWAYS:
-        return [True] * n_servers
-    return [rng.random() < kind.p for _ in range(n_servers)]
+    kind: BaselineKind, n_dispatchers: int, n_servers: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(n_dispatchers, n_servers) query bits for one slot. Only ``random``
+    draws: one uniform per bit, row-major."""
+    if kind.variant == RANDOM:
+        return rng.random((n_dispatchers, n_servers)) < kind.p
+    return np.full((n_dispatchers, n_servers), kind.variant == ALWAYS)
 
 
-def least_loaded_dispatch(snapshot: KnowledgeSnapshot) -> int:
-    """Server with the smallest believed queue.
+def least_loaded_dispatch(seen_queue, seen_available) -> np.ndarray:
+    """Server with the smallest believed queue, along the last axis.
 
     Ties prefer believed-available servers, then the lowest index. Pure
-    function of the snapshot.
+    function of its inputs.
     """
-    return min(
-        range(len(snapshot.seen_queue)),
-        key=lambda k: (snapshot.seen_queue[k], not snapshot.seen_available[k], k),
+    return np.argmin(2 * np.asarray(seen_queue) - np.asarray(seen_available), axis=-1)
+
+
+def baseline_dispatch(
+    knowledge: Knowledge, responses: QueryResponses, arrivals
+) -> tuple[Optional[int], ...]:
+    """Least-loaded target of every dispatcher with an arrival.
+
+    This slot's query ``responses`` overlay the stale ``knowledge`` before
+    the choice (queries return within the slot).
+    """
+    asked = responses.queue_length >= 0
+    targets = least_loaded_dispatch(
+        np.where(asked, responses.queue_length, knowledge.seen_queue),
+        np.where(asked, responses.available, knowledge.seen_available),
     )
-
-
-def baseline_step(
-    kind: BaselineKind,
-    snapshot: KnowledgeSnapshot,
-    arrival: bool,
-    fresh_query_results: Sequence[QueryResponse],
-    rng: np.random.Generator,
-    queries: Optional[Sequence[bool]] = None,
-) -> tuple[list[bool], Optional[int]]:
-    """One dispatcher's action for one slot.
-
-    ``fresh_query_results`` are this slot's responses for this dispatcher;
-    they overlay the stale snapshot before the least-loaded choice. Pass
-    ``queries`` when the bits were already drawn (the caller needs them up
-    front to fetch the responses); otherwise they are drawn here.
-    """
-    bits = list(queries) if queries is not None else baseline_queries(kind, len(snapshot.seen_queue), rng)
-    if not arrival:
-        return bits, None
-    view = snapshot.copy()
-    for resp in fresh_query_results:
-        view.seen_available[resp.server] = resp.available
-        view.seen_queue[resp.server] = resp.queue_length
-    return bits, least_loaded_dispatch(view)
+    return dispatch_targets(np.where(arrivals, targets, -1))
 
 
 class BaselinePolicy:
     """Decentralized baseline controller usable by the episode runner.
 
-    Each slot it draws query bits per dispatcher, reads the same-slot
+    Each slot it draws every dispatcher's query bits, reads the same-slot
     responses from the environment, and dispatches least-loaded on the
-    overlaid view.
+    overlaid knowledge.
     """
 
     def __init__(self, kind: BaselineKind):
@@ -112,27 +99,10 @@ class BaselinePolicy:
     def act(self, env: DispatchEnv) -> JointAction:
         if self._rng is None:
             self._rng = np.random.default_rng(0)
-        n = env.config.n_dispatchers
-        k = env.config.n_servers
-        all_bits = [baseline_queries(self.kind, k, self._rng) for _ in range(n)]
-        responses = env.process_queries(all_bits)
-        by_dispatcher: list[list[QueryResponse]] = [[] for _ in range(n)]
-        for resp in responses:
-            by_dispatcher[resp.dispatcher].append(resp)
-        queries = []
-        dispatch = []
-        for i in range(n):
-            bits, target = baseline_step(
-                self.kind,
-                env.observe(i),
-                env.arrivals[i],
-                by_dispatcher[i],
-                self._rng,
-                queries=all_bits[i],
-            )
-            queries.append(tuple(bits))
-            dispatch.append(target)
-        return JointAction(queries=tuple(queries), dispatch=tuple(dispatch))
+        cfg = env.config
+        queries = baseline_queries(self.kind, cfg.n_dispatchers, cfg.n_servers, self._rng)
+        dispatch = baseline_dispatch(env.knowledge, env.process_queries(queries), env.arrivals)
+        return JointAction(queries=queries, dispatch=dispatch)
 
 
 def parse_policy_spec(spec: str) -> BaselineKind | str:

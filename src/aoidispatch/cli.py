@@ -64,9 +64,9 @@ def _trajectory_records(env: DispatchEnv, policy, slots: int):
         if env.done:
             env.reset()
         slot = env.slot
-        available = [s.available for s in env.world.servers]
-        queue_lengths = [len(s.queue) for s in env.world.servers]
-        arrivals = list(env.arrivals)
+        available = env.world.available.tolist()
+        queue_lengths = env.world.length.tolist()
+        arrivals = env.arrivals.tolist()
         action = policy.act(env)
         outcome = env.step(action)
         yield {
@@ -197,8 +197,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     data = _load_merged_dict(args.config, args.set)
     if data:
         # user keys overlay the env config stored in the checkpoint
-        env_kwargs, _ = split_config_dict(data)
-        env_config = EnvConfig(**{**config_as_dict(trained_on), **env_kwargs})
+        env_config = env_config_from_dict({**config_as_dict(trained_on), **data})
         if (
             env_config.n_dispatchers != trained_on.n_dispatchers
             or env_config.n_servers != trained_on.n_servers

@@ -34,6 +34,12 @@ def _as_int(value: Any, name: str) -> int:
     return value
 
 
+def _as_bool(value: Any, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _per_entity(value: Any, count: int, name: str, conv) -> tuple:
     """Broadcast a scalar or check a per-entity sequence against ``count``."""
     if isinstance(value, (list, tuple)):
@@ -88,6 +94,8 @@ class EnvConfig:
         set_(self, "horizon", _as_int(self.horizon, "horizon"))
         set_(self, "seed", _as_int(self.seed, "seed"))
         set_(self, "aoi_cap", _as_int(self.aoi_cap, "aoi_cap"))
+        set_(self, "report_post_service", _as_bool(self.report_post_service, "report_post_service"))
+        set_(self, "drop_newest", _as_bool(self.drop_newest, "drop_newest"))
 
         for lam in self.arrival_prob:
             if not 0.0 <= lam <= 1.0:
@@ -143,7 +151,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         set_ = object.__setattr__
         for f in fields(self):  # annotations are strings under postponed evaluation
-            conv = {"float": _as_float, "int": _as_int}.get(f.type)
+            conv = {"float": _as_float, "int": _as_int, "bool": _as_bool}.get(f.type)
             if conv is not None:
                 set_(self, f.name, conv(getattr(self, f.name), f.name))
         set_(self, "hidden_sizes", tuple(_as_int(h, "hidden_sizes") for h in self.hidden_sizes))
@@ -258,7 +266,10 @@ def split_config_dict(data: dict[str, Any]) -> tuple[dict[str, Any], dict[str, A
 
 
 def env_config_from_dict(data: dict[str, Any]) -> EnvConfig:
-    env_kwargs, _ = split_config_dict(data)
+    """EnvConfig from a flat dict; training keys, which it would drop, raise."""
+    env_kwargs, train_kwargs = split_config_dict(data)
+    if train_kwargs:
+        raise ConfigError(f"training keys have no effect here: {', '.join(sorted(train_kwargs))}")
     return EnvConfig(**env_kwargs)
 
 

@@ -15,7 +15,9 @@ issued this slot refreshes what the actor sees from the next slot on.
 from __future__ import annotations
 
 import json
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -23,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import EnvConfig, TrainConfig, config_as_dict
-from .env import DispatchEnv, JointAction, KnowledgeSnapshot, WorldState
+from .env import DispatchEnv, JointAction, Knowledge, QueryResponses, WorldState, dispatch_targets
 from .errors import ConfigError, ContractViolation
 from .nn import Adam, DenseNet, PolicyHeads
 
@@ -32,18 +34,6 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 # ---------------------------------------------------------------------------
 # observation / state encodings
-
-
-def snapshot_features(snapshot: KnowledgeSnapshot, config: EnvConfig) -> list[float]:
-    """Per-server triple (seen availability, seen queue / capacity, capped
-    normalized age), concatenated over servers."""
-    cap = float(config.aoi_cap)
-    out = []
-    for k in range(config.n_servers):
-        out.append(1.0 if snapshot.seen_available[k] else 0.0)
-        out.append(snapshot.seen_queue[k] / config.queue_capacity[k])
-        out.append(min(snapshot.aoi[k], config.aoi_cap) / cap)
-    return out
 
 
 def actor_obs_dim(config: EnvConfig, parameter_sharing: bool) -> int:
@@ -55,50 +45,42 @@ def critic_state_dim(config: EnvConfig) -> int:
 
 
 def encode_actor_batch(
-    snapshots: Sequence[KnowledgeSnapshot], config: EnvConfig, parameter_sharing: bool
+    knowledge: Knowledge, config: EnvConfig, parameter_sharing: bool
 ) -> np.ndarray:
-    """(n_dispatchers, obs_dim) actor inputs, one row per dispatcher."""
-    n = config.n_dispatchers
-    rows = []
-    for i, snap in enumerate(snapshots):
-        feats = snapshot_features(snap, config)
-        if parameter_sharing:
-            one_hot = [0.0] * n
-            one_hot[i] = 1.0
-            feats.extend(one_hot)
-        rows.append(feats)
-    return np.asarray(rows, dtype=np.float64)
+    """(n_dispatchers, obs_dim) actor inputs, one row per dispatcher: per
+    server the triple (seen availability, seen queue / capacity, capped
+    normalized age), then the one-hot dispatcher id under parameter
+    sharing."""
+    n, k = config.n_dispatchers, config.n_servers
+    out = np.zeros((n, actor_obs_dim(config, parameter_sharing)))
+    out[:, 0 : 3 * k : 3] = knowledge.seen_available
+    out[:, 1 : 3 * k : 3] = knowledge.seen_queue / config.queue_capacity
+    out[:, 2 : 3 * k : 3] = np.minimum(knowledge.aoi, config.aoi_cap) / float(config.aoi_cap)
+    if parameter_sharing:
+        out[:, 3 * k :] = np.eye(n)
+    return out
 
 
 def encode_critic_state(world: WorldState, config: EnvConfig) -> np.ndarray:
     """Full-state critic input: true availabilities, true normalized queue
     lengths, and the normalized age matrix of every dispatcher."""
-    cap = float(config.aoi_cap)
-    feats = [1.0 if s.available else 0.0 for s in world.servers]
-    feats.extend(
-        len(s.queue) / q for s, q in zip(world.servers, config.queue_capacity)
-    )
-    for snap in world.knowledge:
-        feats.extend(min(a, config.aoi_cap) / cap for a in snap.aoi)
-    return np.asarray(feats, dtype=np.float64)
+    cap = config.aoi_cap
+    return np.concatenate((
+        world.available,
+        world.length / config.queue_capacity,
+        (np.minimum(world.knowledge.aoi, cap) / float(cap)).ravel(),
+    ))
 
 
-def to_joint_action(bits: np.ndarray, dispatch: np.ndarray) -> JointAction:
-    return JointAction(
-        queries=tuple(tuple(bool(b) for b in row) for row in bits),
-        dispatch=tuple(None if d < 0 else int(d) for d in dispatch),
-    )
-
-
-def refresh_encoded_obs(obs: np.ndarray, responses, config: EnvConfig) -> np.ndarray:
+def refresh_encoded_obs(obs: np.ndarray, responses: QueryResponses, config: EnvConfig) -> np.ndarray:
     """Encoded observations with queried entries replaced by this slot's
     responses (age encoded as 0: fresher than any stored knowledge)."""
+    k = config.n_servers
+    asked = responses.queue_length >= 0
     out = obs.copy()
-    for r in responses:
-        base = 3 * r.server
-        out[r.dispatcher, base] = 1.0 if r.available else 0.0
-        out[r.dispatcher, base + 1] = r.queue_length / config.queue_capacity[r.server]
-        out[r.dispatcher, base + 2] = 0.0
+    out[:, 0 : 3 * k : 3][asked] = responses.available[asked]
+    out[:, 1 : 3 * k : 3][asked] = (responses.queue_length / config.queue_capacity)[asked]
+    out[:, 2 : 3 * k : 3][asked] = 0.0
     return out
 
 
@@ -146,7 +128,7 @@ def select_actions(
     bits = heads.greedy_queries() if rng is None else heads.sample_queries(rng)
     dispatch_heads, dispatch_obs = heads, obs
     if two_phase:
-        responses = env.process_queries([[bool(b) for b in row] for row in bits])
+        responses = env.process_queries(bits)
         dispatch_obs = refresh_encoded_obs(obs, responses, env.config)
         dispatch_heads = actors.heads(dispatch_obs)
     if rng is None:
@@ -186,11 +168,10 @@ class MappoPolicy:
             raise ConfigError(
                 "environment dimensions do not match the dimensions this policy was trained for"
             )
-        snaps = [env.observe(n) for n in range(cfg.n_dispatchers)]
-        obs = encode_actor_batch(snaps, cfg, self.actors.shared)
+        obs = encode_actor_batch(env.knowledge, cfg, self.actors.shared)
         rng = None if self.greedy else self._rng
         bits, disp, *_ = select_actions(self.actors, env, obs, self.two_phase, rng)
-        return to_joint_action(bits, disp)
+        return JointAction(bits, dispatch_targets(disp))
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +288,13 @@ def collect_rollout(
     end_states: list[tuple[int, np.ndarray]] = []
 
     for t in range(length):
-        snaps = [env.observe(i) for i in range(n)]
-        obs = encode_actor_batch(snaps, cfg, actors.shared)
+        obs = encode_actor_batch(env.knowledge, cfg, actors.shared)
         state = encode_critic_state(env.world, cfg)
         bits, disp, heads, dispatch_heads, dispatch_obs = select_actions(
             actors, env, obs, two_phase, rng
         )
         log_probs[t] = heads.log_prob_queries(bits) + dispatch_heads.log_prob_dispatch(disp)
-        outcome = env.step(to_joint_action(bits, disp))
+        outcome = env.step(JointAction(bits, dispatch_targets(disp)))
 
         actor_obs[t] = obs
         if two_phase:
@@ -696,6 +676,20 @@ def evaluate(policy, env_config: EnvConfig, episodes: int, seed: int) -> EvalSta
 # checkpoints
 
 
+@contextmanager
+def atomic_write(path: Path, mode: str = "w", **open_kwargs):
+    """File object that writes ``path`` whole or not at all: a temporary
+    file in the same directory replaces ``path`` in one rename when the
+    block completes, and is removed if the block raises."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(
     path: str | Path,
     actors: ActorGroup,
@@ -733,7 +727,7 @@ def save_checkpoint(
     if normalizer is not None:
         arrays.update(normalizer.state_arrays("vnorm_"))
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         np.savez_compressed(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
     return path
 

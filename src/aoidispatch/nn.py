@@ -210,12 +210,14 @@ class PolicyHeads:
         return (rng.random((self.batch, self.n_servers)) < self.query_probs).astype(np.int8)
 
     def sample_dispatch(self, rng: np.random.Generator, arrivals: Sequence[bool]) -> np.ndarray:
+        """Inverse-CDF draw of a target for every row with an arrival: one
+        uniform per such row, in row order."""
         dispatch = np.full(self.batch, -1, dtype=np.int64)
-        for i, arrived in enumerate(arrivals):
-            if arrived:
-                cdf = np.cumsum(self.dispatch_probs[i])
-                cdf[-1] = 1.0
-                dispatch[i] = int(np.searchsorted(cdf, rng.random(), side="right"))
+        rows = np.asarray(arrivals).nonzero()[0]
+        if rows.size:
+            cdf = self.dispatch_probs[rows].cumsum(axis=1)
+            cdf[:, -1] = 1.0
+            dispatch[rows] = (cdf <= rng.random(rows.size)[:, None]).sum(axis=1)
         return dispatch
 
     def sample(
@@ -229,9 +231,8 @@ class PolicyHeads:
 
     def greedy_dispatch(self, arrivals: Sequence[bool]) -> np.ndarray:
         dispatch = np.full(self.batch, -1, dtype=np.int64)
-        for i, arrived in enumerate(arrivals):
-            if arrived:
-                dispatch[i] = int(np.argmax(self.dispatch_probs[i]))
+        rows = np.asarray(arrivals).nonzero()[0]
+        dispatch[rows] = self.dispatch_probs[rows].argmax(axis=1)
         return dispatch
 
     def greedy(self, arrivals: Sequence[bool]) -> tuple[np.ndarray, np.ndarray]:

@@ -32,10 +32,7 @@ def random_joint_action(
     """Contract-respecting random action: random query bits, a uniform
     dispatch target exactly where a job arrived."""
     cfg = env.config
-    queries = tuple(
-        tuple(bool(rng.random() < query_prob) for _ in range(cfg.n_servers))
-        for _ in range(cfg.n_dispatchers)
-    )
+    queries = rng.random((cfg.n_dispatchers, cfg.n_servers)) < query_prob
     dispatch = tuple(
         int(rng.integers(cfg.n_servers)) if arrived else None
         for arrived in env.arrivals
@@ -85,8 +82,8 @@ def check_environment_invariants(
             total_steps += 1
             for event in outcome.feedback:
                 fed_from.add((event.dispatcher, event.server))
-            for k, server in enumerate(env.world.servers):
-                if not 0 <= len(server.queue) <= cfg.queue_capacity[k]:
+            for k, length in enumerate(env.world.length.tolist()):
+                if not 0 <= length <= cfg.queue_capacity[k]:
                     problems.append(f"queue bound violated at server {k}")
             for n in range(cfg.n_dispatchers):
                 snap = env.observe(n)
@@ -108,7 +105,7 @@ def check_environment_invariants(
             dropped += sum(outcome.drops)
             if problems:
                 break
-        residual = sum(len(s.queue) for s in env.world.servers)
+        residual = int(env.world.length.sum())
         if dispatched != completed + dropped + residual:
             problems.append(
                 f"conservation violated: {dispatched} != {completed}+{dropped}+{residual}"

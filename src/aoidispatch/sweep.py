@@ -30,7 +30,7 @@ from .config import (
 )
 from .env import DispatchEnv
 from .errors import AccountingError, ConfigError
-from .mappo import Trainer, _derived_seed, evaluate, load_policy
+from .mappo import Trainer, _derived_seed, atomic_write, evaluate, load_policy
 
 SWEEPABLE = ("query_cost", "arrival_prob", "n_dispatchers")
 
@@ -341,21 +341,21 @@ def emit_report(
     rows_path = out_dir / f"rows.{fmt}"
     agg_path = out_dir / f"aggregate.{fmt}"
     if fmt == "csv":
-        with open(rows_path, "w", newline="") as fh:
+        with atomic_write(rows_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(ROW_FIELDS)
             for row in rows:
                 writer.writerow(_format_cell(getattr(row, name)) for name in ROW_FIELDS)
-        with open(agg_path, "w", newline="") as fh:
+        with atomic_write(agg_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(AGGREGATE_FIELDS)
             for record in aggregate_rows(rows):
                 writer.writerow(_format_cell(record[name]) for name in AGGREGATE_FIELDS)
     elif fmt == "jsonl":
-        with open(rows_path, "w") as fh:
+        with atomic_write(rows_path) as fh:
             for row in rows:
                 fh.write(json.dumps({n: getattr(row, n) for n in ROW_FIELDS}, sort_keys=True) + "\n")
-        with open(agg_path, "w") as fh:
+        with atomic_write(agg_path) as fh:
             for record in aggregate_rows(rows):
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     else:

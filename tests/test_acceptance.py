@@ -79,8 +79,8 @@ def test_acceptance_1_environment_invariants():
             outcome = env.step(action)
             checked += 1
             touched |= {(e.dispatcher, e.server) for e in outcome.feedback}
-            for k, server in enumerate(env.world.servers):
-                assert 0 <= len(server.queue) <= cfg.queue_capacity[k]
+            for k, length in enumerate(env.world.length.tolist()):
+                assert 0 <= length <= cfg.queue_capacity[k]
             assert outcome.team_reward == pytest.approx(sum(outcome.rewards), abs=1e-12)
             acks = [0] * cfg.n_servers
             for event in outcome.feedback:
@@ -95,7 +95,7 @@ def test_acceptance_1_environment_invariants():
             dispatched += sum(1 for d in action.dispatch if d is not None)
             completed += sum(outcome.completions)
             dropped += sum(outcome.drops)
-        residual = sum(len(s.queue) for s in env.world.servers)
+        residual = int(env.world.length.sum())
         assert dispatched == completed + dropped + residual
 
     # replay determinism on a fresh config

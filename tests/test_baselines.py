@@ -16,32 +16,30 @@ from aoidispatch import (
     least_loaded_dispatch,
     parse_policy_spec,
 )
-from aoidispatch.baselines import baseline_queries, baseline_step
-from aoidispatch.env import KnowledgeSnapshot, QueryResponse
+from aoidispatch.baselines import baseline_dispatch, baseline_queries
+from aoidispatch.env import DispatchEnv, Knowledge, QueryResponses
 
 
 class TestBaselineQueries:
     def test_never(self):
         rng = np.random.default_rng(0)
-        assert baseline_queries(BaselineKind("never"), 5, rng) == [False] * 5
+        assert baseline_queries(BaselineKind("never"), 1, 5, rng).tolist() == [[False] * 5]
 
     def test_always(self):
         rng = np.random.default_rng(0)
-        assert baseline_queries(BaselineKind("always"), 5, rng) == [True] * 5
+        assert baseline_queries(BaselineKind("always"), 1, 5, rng).tolist() == [[True] * 5]
 
     def test_random_frequency(self):
         rng = np.random.default_rng(1)
         kind = BaselineKind("random", 0.5)
         n, k = 100_000, 3
-        counts = np.zeros(k)
-        for _ in range(n):
-            counts += baseline_queries(kind, k, rng)
+        counts = baseline_queries(kind, n, k, rng).sum(axis=0)
         assert np.abs(counts / n - 0.5).max() < 0.01
 
     def test_random_extreme_probabilities(self):
         rng = np.random.default_rng(2)
-        assert baseline_queries(BaselineKind("random", 0.0), 4, rng) == [False] * 4
-        assert baseline_queries(BaselineKind("random", 1.0), 4, rng) == [True] * 4
+        assert baseline_queries(BaselineKind("random", 0.0), 1, 4, rng).tolist() == [[False] * 4]
+        assert baseline_queries(BaselineKind("random", 1.0), 1, 4, rng).tolist() == [[True] * 4]
 
     def test_invalid_probability(self):
         with pytest.raises(ConfigError):
@@ -50,30 +48,43 @@ class TestBaselineQueries:
             BaselineKind("sometimes")
 
 
-def snapshot(queues, available=None, aoi=None):
+def snapshot(queues, available=None, aoi=None) -> Knowledge:
+    """Knowledge of a single dispatcher."""
     k = len(queues)
-    return KnowledgeSnapshot(
-        seen_available=list(available) if available is not None else [True] * k,
-        seen_queue=list(queues),
-        aoi=list(aoi) if aoi is not None else [1] * k,
+    return Knowledge(
+        seen_available=np.array([available if available is not None else [True] * k]),
+        seen_queue=np.array([queues]),
+        aoi=np.array([aoi if aoi is not None else [1] * k]),
     )
+
+
+def least_loaded(snap: Knowledge) -> int:
+    return int(least_loaded_dispatch(snap.seen_queue[0], snap.seen_available[0]))
+
+
+def responses(available, queue_length) -> QueryResponses:
+    """One dispatcher's query responses (queue -1 where it did not query)."""
+    return QueryResponses(np.array([available]), np.array([queue_length]))
+
+
+NO_RESPONSES = {k: responses([False] * k, [-1] * k) for k in (2, 3)}
 
 
 class TestLeastLoaded:
     def test_unique_argmin(self):
-        assert least_loaded_dispatch(snapshot([2, 0, 3, 1, 1])) == 1
+        assert least_loaded(snapshot([2, 0, 3, 1, 1])) == 1
 
     def test_tie_prefers_believed_available(self):
         snap = snapshot([1, 1], available=[False, True])
-        assert least_loaded_dispatch(snap) == 1
+        assert least_loaded(snap) == 1
 
     def test_all_equal_takes_lowest_index(self):
-        assert least_loaded_dispatch(snapshot([2, 2, 2])) == 0
+        assert least_loaded(snapshot([2, 2, 2])) == 0
 
     def test_pure_function(self):
         snap = snapshot([3, 1, 2], available=[True, False, True])
-        first = least_loaded_dispatch(snap)
-        assert all(least_loaded_dispatch(snap) == first for _ in range(5))
+        first = least_loaded(snap)
+        assert all(least_loaded(snap) == first for _ in range(5))
 
     @given(
         queues=st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=8),
@@ -83,23 +94,25 @@ class TestLeastLoaded:
     def test_constant_shift_invariance(self, queues, shift):
         base = snapshot(queues)
         shifted = snapshot([q + shift for q in queues])
-        assert least_loaded_dispatch(base) == least_loaded_dispatch(shifted)
+        assert least_loaded(base) == least_loaded(shifted)
 
 
 class TestBaselineStep:
     def test_fresh_overlay_beats_stale_snapshot(self):
         # stale view says server 0 is shortest; fresh responses say otherwise
         stale = snapshot([0, 5], aoi=[40, 40])
-        fresh = [QueryResponse(0, 0, True, 3), QueryResponse(0, 1, True, 0)]
+        fresh = responses([True, True], [3, 0])
         rng = np.random.default_rng(0)
-        bits, target = baseline_step(BaselineKind("always"), stale, True, fresh, rng)
-        assert bits == [True, True]
+        bits = baseline_queries(BaselineKind("always"), 1, 2, rng)
+        (target,) = baseline_dispatch(stale, fresh, np.array([True]))
+        assert bits[0].tolist() == [True, True]
         assert target == 1
 
     def test_no_arrival_no_dispatch(self):
         rng = np.random.default_rng(0)
-        bits, target = baseline_step(BaselineKind("never"), snapshot([1, 2]), False, [], rng)
-        assert bits == [False, False]
+        bits = baseline_queries(BaselineKind("never"), 1, 2, rng)
+        (target,) = baseline_dispatch(snapshot([1, 2]), NO_RESPONSES[2], np.array([False]))
+        assert bits[0].tolist() == [False, False]
         assert target is None
 
     def test_seeded_reproducibility(self):
@@ -108,21 +121,26 @@ class TestBaselineStep:
         seqs = []
         for _ in range(2):
             rng = np.random.default_rng(12)
-            seqs.append([baseline_step(kind, snap, True, [], rng) for _ in range(20)])
+            seqs.append([
+                (baseline_queries(kind, 1, 3, rng).tolist(),
+                 baseline_dispatch(snap, NO_RESPONSES[3], np.array([True])))
+                for _ in range(20)
+            ])
         assert seqs[0] == seqs[1]
 
     def test_predrawn_bits_are_respected(self):
-        rng = np.random.default_rng(0)
-        bits, _ = baseline_step(
-            BaselineKind("random", 0.5), snapshot([0, 0]), False, [], rng, queries=[True, False]
-        )
-        assert bits == [True, False]
+        # the policy issues exactly the bits it drew up front for the queries
+        kind = BaselineKind("random", 0.5)
+        policy = BaselinePolicy(kind)
+        policy.begin_episode(np.random.default_rng(0))
+        action = policy.act(DispatchEnv(EnvConfig(n_dispatchers=1, n_servers=2)))
+        drawn = baseline_queries(kind, 1, 2, np.random.default_rng(0))
+        assert action.queries.tolist() == drawn.tolist()
 
     def test_partial_overlay_keeps_other_entries(self):
         stale = snapshot([2, 0], available=[True, True])
-        fresh = [QueryResponse(0, 0, False, 1)]  # only server 0 refreshed
-        rng = np.random.default_rng(0)
-        _, target = baseline_step(BaselineKind("random", 0.5), stale, True, fresh, rng, queries=[True, False])
+        fresh = responses([False, False], [1, -1])  # only server 0 refreshed
+        (target,) = baseline_dispatch(stale, fresh, np.array([True]))
         assert target == 1  # server 1 still believed empty
 
 

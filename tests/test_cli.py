@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from aoidispatch import AccountingError, ConfigError, EnvConfig, TrainConfig, Trainer
+from aoidispatch import sweep
 from aoidispatch.cli import main
 from aoidispatch.sweep import (
     ResultRow,
@@ -191,6 +192,23 @@ class TestEmitReport:
         emit_report(self.make_rows(), tmp_path)
         assert (tmp_path / "rows.csv").exists()
 
+    def test_failed_report_keeps_previous_files(self, tmp_path, monkeypatch):
+        rows = self.make_rows()
+        emit_report(rows, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        cells = []
+
+        def format_then_fail(value):
+            cells.append(value)
+            if len(cells) > 3:  # inside the first data row
+                raise OSError("disk full")
+            return str(value)
+
+        monkeypatch.setattr(sweep, "_format_cell", format_then_fail)
+        with pytest.raises(OSError):
+            emit_report(rows, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             emit_report([], tmp_path)
@@ -369,6 +387,26 @@ class TestCliVerbs:
         rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_non_boolean_flag_fails_cleanly(self, tmp_path, capsys):
+        rc = main(["simulate", "--policy", "never", "--set", "drop_newest=maybe",
+                   "--slots", "4", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "drop_newest must be true or false" in capsys.readouterr().err
+
+    def test_simulate_rejects_training_keys(self, tmp_path, capsys):
+        rc = main(["simulate", "--policy", "never", "--set", "learning_rate=5",
+                   "--slots", "4", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "learning_rate" in capsys.readouterr().err
+
+    def test_evaluate_rejects_training_keys(self, tmp_path, capsys):
+        trainer = Trainer(EnvConfig(**tiny_env_kwargs()), TrainConfig(hidden_sizes=(8,)), seed=0)
+        ckpt = trainer.save(tmp_path / "ckpt.npz")
+        rc = main(["evaluate", "--checkpoint", str(ckpt), "--episodes", "1",
+                   "--set", "learning_rate=5"])
+        assert rc == 2
+        assert "learning_rate" in capsys.readouterr().err
 
     def test_selftest_verb(self):
         assert main(["selftest"]) == 0

@@ -50,6 +50,8 @@ class TestEnvConfig:
             dict(n_dispatchers=0),
             dict(aoi_cap=0),
             dict(queue_capacity=2.5),
+            dict(drop_newest="false"),
+            dict(report_post_service=1),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -89,6 +91,10 @@ class TestTrainConfig:
             dict(discount=True),
             dict(rollout_length=2.5),
             dict(total_updates="10"),
+            dict(two_phase_policy="no thanks"),
+            dict(parameter_sharing=1),
+            dict(normalize_advantages="yes"),
+            dict(normalize_values=None),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -99,6 +105,10 @@ class TestTrainConfig:
         cfg = TrainConfig(clip_epsilon=1, rollout_length=64.0)
         assert type(cfg.clip_epsilon) is float and cfg.clip_epsilon == 1.0
         assert type(cfg.rollout_length) is int and cfg.rollout_length == 64
+
+    def test_bools_kept(self):
+        cfg = TrainConfig(parameter_sharing=False, two_phase_policy=True)
+        assert cfg.parameter_sharing is False and cfg.two_phase_policy is True
 
     def test_hidden_sizes_normalized(self):
         assert TrainConfig(hidden_sizes=[32, 16]).hidden_sizes == (32, 16)
@@ -179,6 +189,10 @@ class TestOverridesAndSplit:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             split_config_dict({"n_serverz": 3})
+
+    def test_env_builder_rejects_training_keys(self):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            env_config_from_dict({"n_servers": 2, "learning_rate": 5})
 
     def test_from_dict_builders(self):
         env = env_config_from_dict({"n_servers": 2, "n_dispatchers": 2})

@@ -8,18 +8,15 @@ from hypothesis import strategies as st
 from aoidispatch import ConfigError, ContractViolation, EnvConfig
 from aoidispatch.env import (
     DispatchEnv,
-    Job,
     JointAction,
+    KnowledgeSnapshot,
     apply_dispatches,
     compute_rewards,
     init_world,
-    observe,
     process_queries,
     serve,
     stationary_distribution,
-    step,
     transition_availability,
-    update_knowledge,
 )
 
 
@@ -71,44 +68,48 @@ class TestInitWorld:
     def test_symmetric_initial_availability(self):
         cfg = EnvConfig(n_dispatchers=1, n_servers=1, stay_available=0.5, stay_unavailable=0.5)
         rng = np.random.default_rng(42)
-        hits = sum(init_world(cfg, rng).servers[0].available for _ in range(20000))
+        hits = sum(init_world(cfg, rng).available[0] for _ in range(20000))
         assert hits / 20000 == pytest.approx(0.5, abs=0.01)
 
     def test_cold_start_knowledge(self):
         cfg = EnvConfig(n_dispatchers=3, n_servers=4)
         world = init_world(cfg, np.random.default_rng(0))
-        for snap in world.knowledge:
+        for snap in (KnowledgeSnapshot.of(world.knowledge, n) for n in range(3)):
             assert snap.aoi == [1, 1, 1, 1]
             assert snap.seen_queue == [0, 0, 0, 0]
             assert snap.seen_available == [True, True, True, True]
-        assert all(len(s.queue) == 0 for s in world.servers)
+        assert all(length == 0 for length in world.length.tolist())
         assert world.slot == 0
 
     def test_seeded_determinism(self):
         cfg = EnvConfig(n_dispatchers=2, n_servers=3, seed=7)
         w1 = init_world(cfg, np.random.default_rng(7))
         w2 = init_world(cfg, np.random.default_rng(7))
-        assert [s.available for s in w1.servers] == [s.available for s in w2.servers]
-        assert w1.arrivals == w2.arrivals
+        assert w1.available.tolist() == w2.available.tolist()
+        assert w1.arrivals.tolist() == w2.arrivals.tolist()
 
     def test_stationary_start_matches_chain_law(self):
         cfg = EnvConfig(n_dispatchers=1, n_servers=1, stay_available=0.95, stay_unavailable=0.50)
         rng = np.random.default_rng(3)
-        hits = sum(init_world(cfg, rng).servers[0].available for _ in range(50000))
+        hits = sum(init_world(cfg, rng).available[0] for _ in range(50000))
         assert hits / 50000 == pytest.approx(10 / 11, abs=0.01)
 
 
 class TestTransitionAvailability:
+    @staticmethod
+    def step_one(available: bool, phi: float, psi: float, rng) -> bool:
+        return bool(transition_availability(np.array([available]), (phi,), (psi,), [rng.random()])[0])
+
     def test_absorbing_limit(self):
         rng = np.random.default_rng(0)
         assert all(
-            transition_availability(True, 1.0, 0.5, rng) for _ in range(100)
+            self.step_one(True, 1.0, 0.5, rng) for _ in range(100)
         )
 
     def test_stay_available_frequency(self):
         rng = np.random.default_rng(11)
         n = 100_000
-        stays = sum(transition_availability(True, 0.95, 0.5, rng) for _ in range(n))
+        stays = sum(self.step_one(True, 0.95, 0.5, rng) for _ in range(n))
         assert stays / n == pytest.approx(0.95, abs=0.01)
 
     def test_long_run_availability_fraction(self):
@@ -116,7 +117,7 @@ class TestTransitionAvailability:
         rng = np.random.default_rng(5)
         state, hits, n = True, 0, 100_000
         for _ in range(n):
-            state = transition_availability(state, 0.95, 0.50, rng)
+            state = self.step_one(state, 0.95, 0.50, rng)
             hits += state
         assert hits / n == pytest.approx(10 / 11, abs=0.01)
 
@@ -126,19 +127,29 @@ def make_world(cfg: EnvConfig, seed: int = 0):
 
 
 def fill_queue(world, server: int, owners, start_id: int = 100):
-    for i, owner in enumerate(owners):
-        world.servers[server].queue.append(Job(start_id + i, owner, 0))
+    """Put jobs start_id, start_id + 1, ... of ``owners`` into an empty queue."""
+    world.owner[server, : len(owners)] = owners
+    world.job[server, : len(owners)] = range(start_id, start_id + len(owners))
+    world.length[server] = len(owners)
+
+
+def queue_ids(world, cfg: EnvConfig, server: int) -> list[int]:
+    """Job ids of one queue, oldest first."""
+    head, length = int(world.head[server]), int(world.length[server])
+    cap = cfg.queue_capacity[server]
+    return [int(world.job[server, (head + i) % cap]) for i in range(length)]
 
 
 class TestApplyDispatches:
     def test_overflow_evicts_oldest_and_naks_its_owner(self):
         cfg = EnvConfig(n_dispatchers=2, n_servers=1, queue_capacity=3, arrival_prob=1.0)
-        world = make_world(cfg)
+        env = DispatchEnv(cfg)
+        world = env.world
         fill_queue(world, 0, owners=[1, 0, 1])  # j100 (owner 1) is the head
-        world.arrivals = [True, False]
-        slot_start = [(True, 3)]
-        events = apply_dispatches(world, cfg, [0, None], slot_start)
-        assert [j.id for j in world.servers[0].queue] == [101, 102, 0]
+        world.arrivals = np.array([True, False])
+        world.available[0] = False  # nothing is served: only the dispatch moves the queue
+        events = env.step(JointAction(((False,), (False,)), (0, None))).feedback
+        assert queue_ids(world, cfg, 0) == [101, 102, 0]
         assert len(events) == 1
         assert events[0].accepted is False
         assert events[0].dispatcher == 1  # owner of the evicted head
@@ -148,23 +159,24 @@ class TestApplyDispatches:
     def test_append_to_empty_queue(self):
         cfg = EnvConfig(n_dispatchers=1, n_servers=2, queue_capacity=3, arrival_prob=1.0)
         world = make_world(cfg)
-        world.arrivals = [True]
-        events = apply_dispatches(world, cfg, [1], [(True, 0), (True, 0)])
+        world.arrivals = np.array([True])
+        events = apply_dispatches(world, cfg, [1])
         assert events == []
-        assert len(world.servers[1].queue) == 1
-        assert len(world.servers[0].queue) == 0
+        assert world.length[1] == 1
+        assert world.length[0] == 0
 
     def test_two_dispatchers_same_server_in_index_order(self):
         cfg = EnvConfig(n_dispatchers=2, n_servers=1, queue_capacity=3, arrival_prob=1.0)
         world = make_world(cfg)
         fill_queue(world, 0, owners=[0, 1])  # length 2 of capacity 3
-        world.arrivals = [True, True]
-        events = apply_dispatches(world, cfg, [0, 0], [(True, 2)])
+        world.arrivals = np.array([True, True])
+        events = apply_dispatches(world, cfg, [0, 0])
         # dispatcher 0 appends cleanly; dispatcher 1 overflows, evicting j100
-        assert len(world.servers[0].queue) == 3
+        assert world.length[0] == 3
         assert len(events) == 1
-        assert events[0].dispatcher == 0 and events[0].job.id == 100
-        ids = [j.id for j in world.servers[0].queue]
+        dispatcher, _, job_id = events[0]
+        assert dispatcher == 0 and job_id == 100
+        ids = queue_ids(world, cfg, 0)
         assert ids == [101, 0, 1]  # dispatcher 0's job landed before dispatcher 1's
 
     def test_drop_newest_rejects_incoming(self):
@@ -173,89 +185,91 @@ class TestApplyDispatches:
         )
         world = make_world(cfg)
         fill_queue(world, 0, owners=[0, 0])
-        world.arrivals = [True]
-        events = apply_dispatches(world, cfg, [0], [(True, 2)])
-        assert [j.id for j in world.servers[0].queue] == [100, 101]
+        world.arrivals = np.array([True])
+        events = apply_dispatches(world, cfg, [0])  # every returned event is a NAK
+        assert queue_ids(world, cfg, 0) == [100, 101]
         assert len(events) == 1
-        assert events[0].accepted is False
-        assert events[0].dispatcher == 0
-        assert events[0].job.id == 0  # the rejected incoming job
+        dispatcher, _, job_id = events[0]
+        assert dispatcher == 0
+        assert job_id == 0  # the rejected incoming job
 
     def test_dispatch_without_arrival_is_a_contract_violation(self):
         cfg = EnvConfig(n_dispatchers=1, n_servers=1, arrival_prob=0.5)
         world = make_world(cfg)
-        world.arrivals = [False]
+        world.arrivals = np.array([False])
         with pytest.raises(ContractViolation):
-            apply_dispatches(world, cfg, [0], [(True, 0)])
+            apply_dispatches(world, cfg, [0])
 
     def test_arrival_without_dispatch_is_a_contract_violation(self):
         cfg = EnvConfig(n_dispatchers=1, n_servers=1, arrival_prob=1.0)
         world = make_world(cfg)
-        world.arrivals = [True]
+        world.arrivals = np.array([True])
         with pytest.raises(ContractViolation):
-            apply_dispatches(world, cfg, [None], [(True, 0)])
+            apply_dispatches(world, cfg, [None])
 
     def test_bad_target_rejected(self):
         cfg = EnvConfig(n_dispatchers=1, n_servers=2, arrival_prob=1.0)
         world = make_world(cfg)
-        world.arrivals = [True]
+        world.arrivals = np.array([True])
         with pytest.raises(ContractViolation):
-            apply_dispatches(world, cfg, [5], [(True, 0), (True, 0)])
+            apply_dispatches(world, cfg, [5])
 
 
 class TestServe:
     def test_available_server_completes_head(self):
         cfg = EnvConfig(n_dispatchers=2, n_servers=1)
         world = make_world(cfg)
-        world.servers[0].available = True
+        world.available[0] = True
         fill_queue(world, 0, owners=[1, 0])
-        events = serve(world, [(True, 2)])
+        events = serve(world, cfg)  # every returned event is an ACK
         assert len(events) == 1
-        assert events[0].accepted is True
-        assert events[0].dispatcher == 1 and events[0].job.id == 100
-        assert [j.id for j in world.servers[0].queue] == [101]
+        dispatcher, _, job_id = events[0]
+        assert dispatcher == 1 and job_id == 100
+        assert queue_ids(world, cfg, 0) == [101]
 
     def test_unavailable_server_does_nothing(self):
         cfg = EnvConfig(n_dispatchers=1, n_servers=1)
         world = make_world(cfg)
-        world.servers[0].available = False
+        world.available[0] = False
         fill_queue(world, 0, owners=[0])
-        assert serve(world, [(False, 1)]) == []
-        assert len(world.servers[0].queue) == 1
+        assert serve(world, cfg) == []
+        assert world.length[0] == 1
 
     def test_same_slot_dispatch_then_serve(self):
         # arithmetic: empty queue, one dispatch, available server -> served
         # in the same slot and the queue ends the slot empty again
         cfg = EnvConfig(n_dispatchers=1, n_servers=1, arrival_prob=1.0, stay_available=1.0, stay_unavailable=0.5)
         env = DispatchEnv(cfg)
-        env.world.servers[0].available = True
+        env.world.available[0] = True
         outcome = env.step(JointAction(queries=((False,),), dispatch=(0,)))
         assert outcome.completions == (1,)
-        assert len(env.world.servers[0].queue) == 0
+        assert env.world.length[0] == 0
 
 
 class TestProcessQueries:
     def test_no_queries_no_responses(self):
         cfg = EnvConfig(n_dispatchers=2, n_servers=3)
         world = make_world(cfg)
-        assert process_queries(world, [[False] * 3] * 2) == []
+        responses = process_queries(world, [[False] * 3] * 2)
+        assert not (responses.queue_length >= 0).any()
 
     def test_response_passes_through_state(self):
         cfg = EnvConfig(n_dispatchers=2, n_servers=4)
         world = make_world(cfg)
-        world.servers[3].available = False
+        world.available[3] = False
         fill_queue(world, 3, owners=[0, 1])
         queries = [[False] * 4, [False, False, False, True]]
-        (resp,) = process_queries(world, queries)
-        assert (resp.dispatcher, resp.server) == (1, 3)
-        assert resp.available is False
-        assert resp.queue_length == 2
+        responses = process_queries(world, queries)
+        (answered,) = np.argwhere(responses.queue_length >= 0).tolist()
+        assert tuple(answered) == (1, 3)
+        assert not responses.available[1, 3]
+        assert responses.queue_length[1, 3] == 2
 
     def test_all_ones_cardinality(self):
         cfg = EnvConfig(n_dispatchers=3, n_servers=4)
         world = make_world(cfg)
         responses = process_queries(world, [[True] * 4] * 3)
-        assert len(responses) == 12
+        assert (responses.queue_length >= 0).sum() == 12
 
 
 class TestUpdateKnowledge:
@@ -281,7 +295,7 @@ class TestUpdateKnowledge:
             stay_available=1.0, stay_unavailable=0.5, report_post_service=True,
         )
         env = DispatchEnv(cfg)
-        env.world.servers[0].available = True
+        env.world.available[0] = True
         fill_queue(env.world, 0, owners=[0])
         outcome = env.step(JointAction(queries=((True,),), dispatch=(None,)))
         assert outcome.completions == (1,)
@@ -295,7 +309,7 @@ class TestUpdateKnowledge:
             stay_available=1.0, stay_unavailable=0.5, report_post_service=True,
         )
         env = DispatchEnv(cfg)
-        env.world.servers[0].available = True
+        env.world.available[0] = True
         fill_queue(env.world, 0, owners=[0])
         env.step(JointAction(queries=((False,),), dispatch=(None,)))
         snap = env.observe(0)
@@ -305,24 +319,20 @@ class TestUpdateKnowledge:
 
 class TestComputeRewards:
     def test_ack_minus_query_cost(self):
-        from aoidispatch.env import FeedbackEvent
-
-        events = [FeedbackEvent(0, 0, Job(1, 0, 0), True, True, 1)]
+        acks = [(0, 0, 1)]  # dispatcher 0's job 1 completed on server 0
         rewards, completions, drops, queries = compute_rewards(
-            events, [[True, True, False]], query_cost=0.005, n_dispatchers=1
+            [], acks, [[True, True, False]], query_cost=0.005, n_dispatchers=1
         )
         assert rewards[0] == pytest.approx(0.99, abs=1e-12)
         assert completions == [1] and drops == [0] and queries == [2]
 
     def test_nothing_happened(self):
-        rewards, *_ = compute_rewards([], [[False, False]], 0.1, 1)
+        rewards, *_ = compute_rewards([], [], [[False, False]], 0.1, 1)
         assert rewards == [0.0]
 
     def test_nak_contributes_nothing(self):
-        from aoidispatch.env import FeedbackEvent
-
-        events = [FeedbackEvent(0, 0, Job(1, 0, 0), False, True, 3)]
-        rewards, completions, drops, _ = compute_rewards(events, [[True]], 0.1, 1)
+        naks = [(0, 0, 1)]  # dispatcher 0's job 1 dropped by server 0
+        rewards, completions, drops, _ = compute_rewards(naks, [], [[True]], 0.1, 1)
         assert rewards[0] == pytest.approx(-0.1, abs=1e-12)
         assert completions == [0] and drops == [1]
 
@@ -331,7 +341,7 @@ class TestStep:
     def test_pending_service_completes(self):
         cfg = EnvConfig(n_dispatchers=2, n_servers=1, arrival_prob=0.0, stay_available=1.0, stay_unavailable=0.5)
         env = DispatchEnv(cfg)
-        env.world.servers[0].available = True
+        env.world.available[0] = True
         fill_queue(env.world, 0, owners=[1])
         outcome = env.step(JointAction(queries=((False,), (False,)), dispatch=(None, None)))
         assert outcome.rewards == (0.0, 1.0)
@@ -364,14 +374,14 @@ class TestStep:
         for _ in range(100):
             out = env.step(JointAction(queries=((False,),), dispatch=(0,)))
             total += out.completions[0]
-            assert len(env.world.servers[0].queue) == 0
+            assert env.world.length[0] == 0
         assert total == 100
 
     def test_slot_start_reporting_by_default(self):
         # by default the ACK payload is the slot-start queue length
         cfg = EnvConfig(n_dispatchers=1, n_servers=1, arrival_prob=0.0, stay_available=1.0, stay_unavailable=0.5)
         env = DispatchEnv(cfg)
-        env.world.servers[0].available = True
+        env.world.available[0] = True
         fill_queue(env.world, 0, owners=[0, 0])
         out = env.step(JointAction(queries=((False,),), dispatch=(None,)))
         assert out.feedback[0].reported_queue == 2
@@ -386,6 +396,41 @@ class TestStep:
             dispatch = tuple(int(rng.integers(2)) if a else None for a in env.arrivals)
             out = env.step(JointAction(queries=queries, dispatch=dispatch))
             assert out.team_reward == pytest.approx(sum(out.rewards), abs=1e-12)
+
+
+class TestActionContract:
+    def test_ragged_queries_rejected(self):
+        with pytest.raises(ContractViolation):
+            JointAction(queries=((True, False), (True,)), dispatch=(None, None))
+
+    @pytest.mark.parametrize("queries,dispatch", [
+        (((False,),), (None, None)),  # one query row for two dispatchers
+        (((False, False), (False, False)), (None, None)),  # two bits for one server
+        (((False,), (False,)), (None,)),  # one dispatch entry for two dispatchers
+    ])
+    def test_wrong_shapes_rejected(self, queries, dispatch):
+        env = DispatchEnv(EnvConfig(n_dispatchers=2, n_servers=1, arrival_prob=0.0))
+        with pytest.raises(ContractViolation):
+            env.step(JointAction(queries, dispatch))
+
+    @pytest.mark.parametrize("queries", [((False,),), ((False, False), (False, False))])
+    def test_wrong_query_shape_rejected_by_process_queries(self, queries):
+        env = DispatchEnv(EnvConfig(n_dispatchers=2, n_servers=1))
+        with pytest.raises(ContractViolation):
+            env.process_queries(queries)
+
+    def test_outcome_keeps_end_of_step_state(self):
+        cfg = EnvConfig(n_dispatchers=1, n_servers=1, arrival_prob=1.0, stay_available=1.0,
+                        stay_unavailable=0.5, report_post_service=True)
+        env = DispatchEnv(cfg)
+        first = env.step(JointAction(((True,),), (0,)))
+        expected = ([(e.dispatcher, e.job.id, e.reported_queue) for e in first.feedback],
+                    first.observations)
+        for _ in range(5):
+            env.step(JointAction(((False,),), (0,)))
+        assert ([(e.dispatcher, e.job.id, e.reported_queue) for e in first.feedback],
+                first.observations) == expected
+        assert first.observations[0].aoi == [1]
 
 
 class TestObserve:

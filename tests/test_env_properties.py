@@ -27,8 +27,8 @@ def run_invariant_episode(cfg: EnvConfig, steps: int, rng: np.random.Generator):
         outcome = env.step(action)
         touched |= {(e.dispatcher, e.server) for e in outcome.feedback}
 
-        for k, server in enumerate(env.world.servers):
-            assert 0 <= len(server.queue) <= cfg.queue_capacity[k]
+        for k, length in enumerate(env.world.length.tolist()):
+            assert 0 <= length <= cfg.queue_capacity[k]
 
         acks_per_server = [0] * cfg.n_servers
         for event in outcome.feedback:
@@ -52,7 +52,7 @@ def run_invariant_episode(cfg: EnvConfig, steps: int, rng: np.random.Generator):
         completed += sum(outcome.completions)
         dropped += sum(outcome.drops)
 
-    residual = sum(len(s.queue) for s in env.world.servers)
+    residual = int(env.world.length.sum())
     assert dispatched == completed + dropped + residual
 
 

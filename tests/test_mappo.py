@@ -21,7 +21,7 @@ from aoidispatch import (
     total_loss,
     value_loss,
 )
-from aoidispatch.env import DispatchEnv
+from aoidispatch.env import DispatchEnv, JointAction
 from aoidispatch.mappo import (
     RolloutBuffer,
     ValueNormalizer,
@@ -363,11 +363,31 @@ class TestDimensionalityChecks:
     def test_encodings_have_consistent_dims(self):
         env_cfg = EnvConfig(n_dispatchers=3, n_servers=4)
         env = DispatchEnv(env_cfg)
-        snaps = [env.observe(i) for i in range(3)]
-        obs = encode_actor_batch(snaps, env_cfg, parameter_sharing=True)
+        obs = encode_actor_batch(env.knowledge, env_cfg, parameter_sharing=True)
         assert obs.shape == (3, actor_obs_dim(env_cfg, True))
         state = encode_critic_state(env.world, env_cfg)
         assert state.shape == (critic_state_dim(env_cfg),)
+
+    def test_actor_encoding_matches_per_server_loop(self):
+        env_cfg = EnvConfig(n_dispatchers=3, n_servers=4, queue_capacity=(1, 2, 3, 4), aoi_cap=5)
+        env = DispatchEnv(env_cfg)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            dispatch = tuple(int(rng.integers(4)) if a else None for a in env.arrivals.tolist())
+            env.step(JointAction(rng.random((3, 4)) < 0.3, dispatch))
+        # reference: the per-dispatcher, per-server feature loop
+        expected = []
+        for n in range(3):
+            snap = env.observe(n)
+            row = []
+            for k in range(4):
+                row.append(1.0 if snap.seen_available[k] else 0.0)
+                row.append(snap.seen_queue[k] / env_cfg.queue_capacity[k])
+                row.append(min(snap.aoi[k], env_cfg.aoi_cap) / float(env_cfg.aoi_cap))
+            row.extend(1.0 if i == n else 0.0 for i in range(3))
+            expected.append(row)
+        obs = encode_actor_batch(env.knowledge, env_cfg, parameter_sharing=True)
+        assert obs.tolist() == expected
 
 
 class TestValueNormalizer:
@@ -488,6 +508,23 @@ class TestCheckpoints:
         r1 = evaluate(trainer.policy(), env_cfg, episodes=2, seed=79)
         r2 = evaluate(policy, env_cfg, episodes=2, seed=79)
         assert r1 == r2
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        env_cfg, train_cfg = small_setup()
+        trainer = Trainer(env_cfg, train_cfg, seed=23)
+        path = trainer.save(tmp_path / "ckpt.npz")
+        before = path.read_bytes()
+        trainer.run_update()
+
+        def write_then_fail(fh, **arrays):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", write_then_fail)
+        with pytest.raises(OSError):
+            trainer.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
 
     def test_missing_checkpoint_rejected(self):
         with pytest.raises(ConfigError):

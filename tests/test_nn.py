@@ -183,6 +183,22 @@ class TestPolicyHeads:
         _, disp_none = heads.greedy([False])
         assert disp_none.tolist() == [-1]
 
+    def test_dispatch_sampling_matches_per_row_draws(self):
+        # reference: one inverse-CDF draw per row with an arrival, in row order
+        rng = np.random.default_rng(8)
+        heads = PolicyHeads(rng.normal(0.0, 3.0, size=(50, 10)), n_servers=5)
+        arrivals = rng.random(50) < 0.7
+        expected = np.full(50, -1)
+        ref_rng = np.random.default_rng(9)
+        for i in np.flatnonzero(arrivals):
+            cdf = np.cumsum(heads.dispatch_probs[i])
+            cdf[-1] = 1.0
+            expected[i] = np.searchsorted(cdf, ref_rng.random(), side="right")
+        got = heads.sample_dispatch(np.random.default_rng(9), arrivals)
+        assert got.tolist() == expected.tolist()
+        greedy = [int(np.argmax(p)) if a else -1 for p, a in zip(heads.dispatch_probs, arrivals)]
+        assert heads.greedy_dispatch(arrivals).tolist() == greedy
+
     def test_extreme_sampled_frequencies(self):
         heads = PolicyHeads(np.array([[30.0, -30.0, 0.0, 0.0]]), n_servers=2)
         rng = np.random.default_rng(6)
