@@ -9,6 +9,7 @@ either ``key = value`` text (lists comma-separated, ``#`` comments) or JSON.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Sequence
@@ -19,6 +20,8 @@ from .errors import ConfigError
 def _as_float(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 

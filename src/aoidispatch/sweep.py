@@ -4,8 +4,10 @@ A sweep evaluates each policy at every value of one swept environment
 parameter (query cost, arrival probability, or number of dispatchers) across
 several seeds. MAPPO cells either load a checkpoint or train fresh per cell
 ("mappo:train"), since a policy trained at one dispatcher count has the
-wrong input arity at another. Rows are flushed as they are produced and the
-final report adds per-(policy, value) means with standard errors.
+wrong input arity at another. Cells are independent and seeded from their
+(seed, policy, value) indices, so they run in a pool of worker processes;
+rows are still checked, flushed and logged in cell order, and the final
+report adds per-(policy, value) means with standard errors.
 
 Reported rewards are per-slot team rewards.
 """
@@ -13,10 +15,12 @@ Reported rewards are per-slot team rewards.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
+import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Mapping, Sequence
 
 from .baselines import BaselineKind, BaselinePolicy, parse_policy_spec
 from .config import (
@@ -87,7 +91,7 @@ class ResultRow:
 
     def check_accounting(self, tolerance: float = 1e-9) -> None:
         expected = self.throughput_per_slot - self.query_cost * self.queries_per_slot
-        if abs(self.reward_per_slot - expected) > tolerance:
+        if not abs(self.reward_per_slot - expected) <= tolerance:  # NaN fails too
             raise AccountingError(
                 f"row ({self.policy}, {self.parameter}={self.value}, seed {self.seed}): "
                 f"reward {self.reward_per_slot!r} != throughput - cost * queries = {expected!r}"
@@ -182,30 +186,57 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
+def _check_format(fmt: str) -> None:
+    if fmt not in ("csv", "jsonl"):
+        raise ConfigError(f"unknown output format {fmt!r}")
+
+
 class RowWriter:
-    """Streams rows to disk as they are produced (csv or jsonl)."""
+    """Writes records (mappings holding ``names``) to an open text file as
+    csv, header first, or as jsonl. The one serializer of sweep output."""
 
-    def __init__(self, path: Path, fmt: str):
-        if fmt not in ("csv", "jsonl"):
-            raise ConfigError(f"unknown output format {fmt!r}")
-        self.path = path
-        self.fmt = fmt
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(path, "w", newline="")
-        if fmt == "csv":
-            self._writer = csv.writer(self._fh)
-            self._writer.writerow(ROW_FIELDS)
+    def __init__(self, fh, fmt: str, names: Sequence[str] = ROW_FIELDS):
+        _check_format(fmt)
+        self._fh = fh
+        self._names = names
+        self._csv = csv.writer(fh) if fmt == "csv" else None
+        if self._csv is not None:
+            self._csv.writerow(names)
 
-    def write(self, row: ResultRow) -> None:
-        if self.fmt == "csv":
-            self._writer.writerow(_format_cell(getattr(row, name)) for name in ROW_FIELDS)
+    def write(self, record: Mapping[str, Any]) -> None:
+        if self._csv is not None:
+            self._csv.writerow(_format_cell(record[name]) for name in self._names)
         else:
-            record = {name: getattr(row, name) for name in ROW_FIELDS}
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
+            data = {name: record[name] for name in self._names}
+            self._fh.write(json.dumps(data, sort_keys=True) + "\n")
 
-    def close(self) -> None:
-        self._fh.close()
+
+# OpenBLAS thread-count setters, by build (numpy wheels bundle scipy-openblas)
+_BLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads",
+)
+
+
+def _pin_blas_threads() -> None:
+    """Limit each OpenBLAS loaded in this process to one thread.
+
+    Sweep workers already run one per CPU; a BLAS thread pool in each would
+    oversubscribe the cores (on two cores, two workers with two BLAS threads
+    each ran a training sweep slower than one serial process). A library
+    exposing none of the known setters, or one that cannot be reopened by
+    its mapped path (say, replaced on disk), is left as it is.
+    """
+    with open("/proc/self/maps") as fh:
+        paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = next((getattr(lib, n) for n in _BLAS_SET_THREADS if hasattr(lib, n)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
 
 
 def _evaluate_cell(
@@ -253,31 +284,60 @@ def run_sweep(
 ) -> list[ResultRow]:
     """Evaluate the full policy x value x seed cross product.
 
-    Rows stream to ``rows.<fmt>`` in deterministic order (policy, value,
-    seed); :func:`emit_report` then rewrites the row file and writes the
-    aggregate file.
+    Cells run in a process pool, one worker per available CPU, each worker on
+    one BLAS thread. Rows stream to ``rows.<fmt>`` in deterministic order
+    (policy, value, seed) as each cell and every cell before it are done, so
+    the output is byte-identical to a serial run; :func:`emit_report` then
+    rewrites the row file and writes the aggregate file. The first failing
+    cell's exception is raised once the rows before it are written; pending
+    cells are cancelled and every worker has exited when this returns.
     """
+    # imported here: the pool machinery adds about 20 ms to importing the
+    # package, and only sweeps use it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # numpy loads numpy.random on first use; load it before the workers fork
+    # so they inherit it instead of each importing it (40-100 ms) per sweep
+    import numpy.random  # noqa: F401
+
     out_dir = Path(out_dir)
     cells = spec.validate()
-    writer = RowWriter(out_dir / f"rows.{fmt}", fmt)
+    _check_format(fmt)
+    jobs = [
+        (policy_spec, env_config, spec, seed, p_idx, v_idx)
+        for p_idx, policy_spec in enumerate(spec.policies)
+        for v_idx, env_config in enumerate(cells)
+        for seed in spec.seeds
+    ]
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[ResultRow] = []
+    # fork: a worker inherits the imported modules, so starting one costs a
+    # fork rather than a fresh interpreter importing numpy on every call
+    pool = ProcessPoolExecutor(
+        min(len(os.sched_getaffinity(0)), len(jobs)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_pin_blas_threads,
+    )
     try:
-        for p_idx, policy_spec in enumerate(spec.policies):
-            for v_idx, env_config in enumerate(cells):
-                for seed in spec.seeds:
-                    row = _evaluate_cell(policy_spec, env_config, spec, seed, p_idx, v_idx)
-                    row.check_accounting()
-                    rows.append(row)
-                    writer.write(row)
-                    if log is not None:
-                        log(
-                            f"{row.policy} {row.parameter}={row.value} seed={row.seed}: "
-                            f"reward={row.reward_per_slot:.4f} "
-                            f"throughput={row.throughput_per_slot:.4f} "
-                            f"queries={row.queries_per_slot:.3f}"
-                        )
+        futures = [pool.submit(_evaluate_cell, *job) for job in jobs]
+        with open(out_dir / f"rows.{fmt}", "w", newline="") as fh:
+            writer = RowWriter(fh, fmt)
+            for future in futures:
+                row = future.result()
+                row.check_accounting()
+                rows.append(row)
+                writer.write(vars(row))
+                fh.flush()
+                if log is not None:
+                    log(
+                        f"{row.policy} {row.parameter}={row.value} seed={row.seed}: "
+                        f"reward={row.reward_per_slot:.4f} "
+                        f"throughput={row.throughput_per_slot:.4f} "
+                        f"queries={row.queries_per_slot:.3f}"
+                    )
     finally:
-        writer.close()
+        pool.shutdown(cancel_futures=True)
     emit_report(rows, out_dir, fmt)
     return rows
 
@@ -340,24 +400,12 @@ def emit_report(
     out_dir.mkdir(parents=True, exist_ok=True)
     rows_path = out_dir / f"rows.{fmt}"
     agg_path = out_dir / f"aggregate.{fmt}"
-    if fmt == "csv":
-        with atomic_write(rows_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(ROW_FIELDS)
-            for row in rows:
-                writer.writerow(_format_cell(getattr(row, name)) for name in ROW_FIELDS)
-        with atomic_write(agg_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(AGGREGATE_FIELDS)
-            for record in aggregate_rows(rows):
-                writer.writerow(_format_cell(record[name]) for name in AGGREGATE_FIELDS)
-    elif fmt == "jsonl":
-        with atomic_write(rows_path) as fh:
-            for row in rows:
-                fh.write(json.dumps({n: getattr(row, n) for n in ROW_FIELDS}, sort_keys=True) + "\n")
-        with atomic_write(agg_path) as fh:
-            for record in aggregate_rows(rows):
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
+    for path, names, records in (
+        (rows_path, ROW_FIELDS, [vars(row) for row in rows]),
+        (agg_path, AGGREGATE_FIELDS, aggregate_rows(rows)),
+    ):
+        with atomic_write(path, "w", newline="") as fh:
+            writer = RowWriter(fh, fmt, names)
+            for record in records:
+                writer.write(record)
     return rows_path, agg_path

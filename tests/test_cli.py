@@ -1,16 +1,25 @@
 """CLI verbs and the sweep harness end to end (tiny workloads)."""
 
+import csv
+import ctypes
+import io
 import json
+import multiprocessing
+import time
 from pathlib import Path
 
 import pytest
 
-from aoidispatch import AccountingError, ConfigError, EnvConfig, TrainConfig, Trainer
+from aoidispatch import AccountingError, ConfigError, ContractViolation, EnvConfig, TrainConfig, Trainer
 from aoidispatch import sweep
 from aoidispatch.cli import main
+from aoidispatch.mappo import EvalStats
 from aoidispatch.sweep import (
+    AGGREGATE_FIELDS,
+    ROW_FIELDS,
     ResultRow,
     SweepSpec,
+    _evaluate_cell,
     aggregate_rows,
     apply_swept_value,
     default_config,
@@ -136,6 +145,106 @@ class TestRunSweep:
         assert record["query_cost"] == 0.05
 
 
+def reference_bytes(fmt, names, records):
+    """Reference bytes of a sweep file: csv with repr() floats, or jsonl
+    with sorted keys."""
+    buf = io.StringIO(newline="")
+    if fmt == "csv":
+        writer = csv.writer(buf)
+        writer.writerow(names)
+        for record in records:
+            writer.writerow(repr(v) if isinstance(v, float) else str(v)
+                            for v in (record[n] for n in names))
+    else:
+        for record in records:
+            buf.write(json.dumps({n: record[n] for n in names}, sort_keys=True) + "\n")
+    return buf.getvalue().encode()
+
+
+def log_line(row):
+    return (f"{row.policy} {row.parameter}={row.value} seed={row.seed}: "
+            f"reward={row.reward_per_slot:.4f} throughput={row.throughput_per_slot:.4f} "
+            f"queries={row.queries_per_slot:.3f}")
+
+
+def openblas_thread_getter():
+    """This process's scipy-openblas thread-count getter, or None."""
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            getter = lib.scipy_openblas_get_num_threads64_
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter
+    return None
+
+
+class TestParallelCells:
+    @pytest.fixture(scope="class")
+    def mixed_spec(self, tmp_path_factory):
+        trainer = Trainer(EnvConfig(**tiny_env_kwargs()),
+                          TrainConfig(rollout_length=16, total_updates=1, hidden_sizes=(8,)), seed=3)
+        trainer.train()
+        ckpt = trainer.save(tmp_path_factory.mktemp("ckpt") / "ckpt.npz")
+        return SweepSpec.from_dict(tiny_spec_dict(
+            ["never", "random:0.5", "always", f"mappo:{ckpt}", "mappo:train"], seeds=(0, 1)))
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_pool_matches_in_process_cells(self, tmp_path, mixed_spec, fmt):
+        spec = mixed_spec
+        cells = spec.validate()
+        expected = [
+            _evaluate_cell(policy, env_config, spec, seed, p_idx, v_idx)
+            for p_idx, policy in enumerate(spec.policies)
+            for v_idx, env_config in enumerate(cells)
+            for seed in spec.seeds
+        ]
+        lines = []
+        rows = run_sweep(spec, tmp_path, fmt=fmt, log=lines.append)
+        assert rows == expected
+        assert lines == [log_line(row) for row in expected]
+        assert (tmp_path / f"rows.{fmt}").read_bytes() == reference_bytes(
+            fmt, ROW_FIELDS, [vars(row) for row in expected])
+        assert (tmp_path / f"aggregate.{fmt}").read_bytes() == reference_bytes(
+            fmt, AGGREGATE_FIELDS, aggregate_rows(expected))
+
+    def test_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
+        get_threads = openblas_thread_getter()
+        if get_threads is None:
+            pytest.skip("no scipy_openblas_get_num_threads64_ in this numpy")
+        before = get_threads()
+
+        def threads_as_stats(policy, env_config, episodes, seed):
+            threads = float(get_threads())
+            return EvalStats(episodes, 1, threads, threads, 0.0, 0.0, (threads,))
+
+        monkeypatch.setattr(sweep, "evaluate", threads_as_stats)
+        rows = run_sweep(SweepSpec.from_dict(tiny_spec_dict(["never"])), tmp_path)
+        assert [row.throughput_per_slot for row in rows] == [1.0] * len(rows)
+        assert get_threads() == before  # the caller keeps its own BLAS threads
+
+    def test_first_failing_cell_raises_after_earlier_rows(self, tmp_path, monkeypatch):
+        real_evaluate = sweep.evaluate
+
+        def failing_evaluate(policy, env_config, episodes, seed):
+            if env_config.query_cost == 0.1:
+                time.sleep(0.3)  # a later cell fails first in time
+                raise ContractViolation("cell at 0.1 failed")
+            if env_config.query_cost == 0.2:
+                raise ConfigError("cell at 0.2 failed")
+            return real_evaluate(policy, env_config, episodes, seed)
+
+        monkeypatch.setattr(sweep, "evaluate", failing_evaluate)
+        spec = SweepSpec.from_dict(tiny_spec_dict(["never"], values=(0.0, 0.05, 0.1, 0.2), seeds=(0,)))
+        with pytest.raises(ContractViolation, match="cell at 0.1 failed"):
+            run_sweep(spec, tmp_path)
+        written = (tmp_path / "rows.csv").read_text().splitlines()
+        assert [line.split(",")[2] for line in written[1:]] == ["0.0", "0.05"]
+        assert not (tmp_path / "aggregate.csv").exists()
+        assert multiprocessing.active_children() == []
+
+
 BAD_SPEC_SECTIONS = [
     {"env": {"bogus": 1}},
     {"train": {"learning_rat": 1}},
@@ -187,6 +296,11 @@ class TestEmitReport:
         bad = ResultRow("never", "query_cost", 0.1, 0, 0.9, 1.0, 2.0, 0.0, 0.1)
         with pytest.raises(AccountingError):
             emit_report([bad], tmp_path)
+
+    def test_nan_reward_fails_accounting(self):
+        row = ResultRow("never", "query_cost", 0.1, 0, float("nan"), 1.0, 0.0, 0.0, 0.1)
+        with pytest.raises(AccountingError):
+            row.check_accounting()
 
     def test_accounting_identity_accepts_exact_rows(self, tmp_path):
         emit_report(self.make_rows(), tmp_path)
@@ -380,6 +494,12 @@ class TestCliVerbs:
         rc = main(["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_finite_value_fails_cleanly(self, tmp_path, capsys):
+        rc = main(["simulate", "--policy", "never", "--set", "query_cost=NaN",
+                   "--slots", "4", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "query_cost must be finite" in capsys.readouterr().err
 
     def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "env.cfg"

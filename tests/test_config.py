@@ -52,6 +52,8 @@ class TestEnvConfig:
             dict(queue_capacity=2.5),
             dict(drop_newest="false"),
             dict(report_post_service=1),
+            dict(query_cost=float("nan")),
+            dict(query_cost=float("inf")),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -95,6 +97,9 @@ class TestTrainConfig:
             dict(parameter_sharing=1),
             dict(normalize_advantages="yes"),
             dict(normalize_values=None),
+            *[{name: bad} for name in ("learning_rate", "clip_epsilon", "entropy_coef",
+                                       "value_coef", "max_grad_norm")
+              for bad in (float("nan"), float("inf"))],
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
