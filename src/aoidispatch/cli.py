@@ -30,7 +30,7 @@ from .config import (
 )
 from .env import DispatchEnv
 from .errors import ConfigError
-from .mappo import Trainer, evaluate, load_policy
+from .mappo import Trainer, atomic_write, evaluate, load_policy
 from .selftest import run_all
 from .sweep import SweepSpec, run_sweep
 
@@ -98,13 +98,12 @@ def _join(values) -> str:
 
 def _write_trajectory(records, path: Path, fmt: str) -> int:
     count = 0
-    if fmt == "jsonl":
-        with open(path, "w") as fh:
+    with atomic_write(path, "w", newline="") as fh:
+        if fmt == "jsonl":
             for record in records:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
                 count += 1
-    else:
-        with open(path, "w", newline="") as fh:
+        else:
             writer = csv.writer(fh)
             writer.writerow(
                 ["slot", "available", "queue_lengths", "arrivals", "queries",
@@ -163,30 +162,29 @@ def cmd_train(args: argparse.Namespace) -> int:
             out_dir=out_dir,
         )
     out_dir.mkdir(parents=True, exist_ok=True)
-    progress_path = out_dir / f"progress.{args.format}"
-    if args.format == "jsonl":
+    columns = [
+        "update", "surrogate", "value_loss", "entropy", "mean_ratio",
+        "clip_fraction", "first_minibatch_mean_ratio", "aborted_minibatches",
+        "adv_mean", "adv_std", "seconds", "eval_reward_per_slot", "eval_queries_per_slot",
+    ]
+    # a fresh run starts its progress file, a resumed run appends to it
+    with open(out_dir / f"progress.{args.format}", "a" if args.resume else "w", newline="") as fh:
+        writer = csv.writer(fh) if args.format == "csv" else None
+        if writer is not None and fh.tell() == 0:
+            writer.writerow(columns)
+
+        def on_record(rec: dict) -> None:
+            if writer is None:
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            else:
+                writer.writerow([rec.get(c, "") for c in columns])
+            fh.flush()
+
         trainer.train(
             n_updates=args.updates if args.resume else None,
-            progress_path=progress_path,
             log=lambda msg: print(msg, flush=True),
+            on_record=on_record,
         )
-    else:
-        columns = [
-            "update", "surrogate", "value_loss", "entropy", "mean_ratio",
-            "clip_fraction", "first_minibatch_mean_ratio", "aborted_minibatches",
-            "adv_mean", "adv_std", "seconds", "eval_reward_per_slot", "eval_queries_per_slot",
-        ]
-        with open(progress_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            trainer.train(
-                n_updates=args.updates if args.resume else None,
-                log=lambda msg: print(msg, flush=True),
-                on_record=lambda rec: (
-                    writer.writerow([rec.get(c, "") for c in columns]),
-                    fh.flush(),
-                ),
-            )
     final = out_dir / "checkpoint_final.npz"
     print(f"training done: {trainer.update_index} updates, checkpoint at {final}")
     return 0
@@ -222,10 +220,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"metrics.{args.format}"
-        if args.format == "jsonl":
-            path.write_text(json.dumps(record, sort_keys=True) + "\n")
-        else:
-            with open(path, "w", newline="") as fh:
+        with atomic_write(path, "w", newline="") as fh:
+            if args.format == "jsonl":
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            else:
                 writer = csv.writer(fh)
                 writer.writerow(list(record))
                 writer.writerow([record[k] for k in record])

@@ -20,7 +20,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -89,7 +89,8 @@ def refresh_encoded_obs(obs: np.ndarray, responses: QueryResponses, config: EnvC
 
 
 class ActorGroup:
-    """The dispatcher policies: one shared net or one net per dispatcher."""
+    """The dispatcher policies: one net whose members are either a single
+    actor shared by all dispatchers or one actor per dispatcher."""
 
     def __init__(self, env_config: EnvConfig, train_config: TrainConfig, rng: np.random.Generator):
         self.env_config = env_config
@@ -97,16 +98,17 @@ class ActorGroup:
         self.obs_dim = actor_obs_dim(env_config, self.shared)
         out_dim = 2 * env_config.n_servers
         sizes = (self.obs_dim, *train_config.hidden_sizes, out_dim)
-        count = 1 if self.shared else env_config.n_dispatchers
-        self.nets = [DenseNet(sizes, rng, out_gain=0.01) for _ in range(count)]
+        members = 1 if self.shared else env_config.n_dispatchers
+        self.net = DenseNet(sizes, rng, out_gain=0.01, members=members)
+
+    @property
+    def nets(self) -> tuple[DenseNet]:
+        # read-only view for perfbench/workloads.py, which iterates `nets`
+        return (self.net,)
 
     def heads(self, obs: np.ndarray) -> PolicyHeads:
         """Distribution over actions for a (n_dispatchers, obs_dim) batch."""
-        k = self.env_config.n_servers
-        if self.shared:
-            return PolicyHeads(self.nets[0].forward(obs), k)
-        logits = np.vstack([net.forward(obs[i : i + 1]) for i, net in enumerate(self.nets)])
-        return PolicyHeads(logits, k)
+        return PolicyHeads(self.net.forward(obs), self.env_config.n_servers)
 
 
 def select_actions(
@@ -377,10 +379,13 @@ def compute_gae(
 
 @dataclass(frozen=True)
 class SurrogateResult:
-    objective: float
-    mean_ratio: float
-    clip_fraction: float
-    n_excluded: int
+    """One value per batch: scalars for a 1-D batch, one per member for a
+    ``(members, samples)`` batch."""
+
+    objective: np.ndarray
+    mean_ratio: np.ndarray
+    clip_fraction: np.ndarray
+    n_excluded: np.ndarray
     # d(objective)/d(new log-prob) per sample
     grad_coeff: np.ndarray
 
@@ -391,7 +396,8 @@ def clipped_surrogate(
     advantages: np.ndarray,
     clip_epsilon: float,
 ) -> SurrogateResult:
-    """Clipped-ratio policy objective (to be maximized).
+    """Clipped-ratio policy objective (to be maximized) of the samples along
+    the last axis; leading axes hold independent batches.
 
     Per sample the contribution is ``min(ratio * adv, clip(ratio) * adv)``
     with the ratio of new to old action probability. Samples with a
@@ -408,16 +414,18 @@ def clipped_surrogate(
     with np.errstate(over="ignore"):  # overflow -> inf -> excluded below
         ratio = np.exp(new_log_probs - old_log_probs)
     finite = np.isfinite(ratio)
-    n_excluded = int((~finite).sum())
+    n_finite = finite.sum(axis=-1)
     safe_ratio = np.where(finite, ratio, 1.0)
     unclipped = safe_ratio * advantages
     clipped = np.clip(safe_ratio, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * advantages
     per_sample = np.where(finite, np.minimum(unclipped, clipped), 0.0)
-    n_used = max(int(finite.sum()), 1)
-    objective = float(per_sample.sum() / n_used)
-    mean_ratio = float(safe_ratio[finite].mean()) if finite.any() else float("nan")
-    clip_fraction = float((np.abs(safe_ratio - 1.0) > clip_epsilon)[finite].mean()) if finite.any() else 0.0
-    grad_coeff = np.where(finite & (unclipped <= clipped), unclipped, 0.0) / n_used
+    n_used = np.maximum(n_finite, 1)
+    objective = per_sample.sum(axis=-1) / n_used
+    with np.errstate(invalid="ignore"):  # no finite sample: the mean ratio is nan
+        mean_ratio = np.where(finite, safe_ratio, 0.0).sum(axis=-1) / n_finite
+    clip_fraction = ((np.abs(safe_ratio - 1.0) > clip_epsilon) & finite).sum(axis=-1) / n_used
+    grad_coeff = np.where(finite & (unclipped <= clipped), unclipped, 0.0) / n_used[..., None]
+    n_excluded = advantages.shape[-1] - n_finite
     return SurrogateResult(objective, mean_ratio, clip_fraction, n_excluded, grad_coeff)
 
 
@@ -468,10 +476,12 @@ def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
     return (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
 
-def _minibatch_slices(n: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-    perm = rng.permutation(n)
-    count = min(count, n)
-    return [chunk for chunk in np.array_split(perm, count) if chunk.size]
+def _minibatches(pools: np.ndarray, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Up to ``count`` shuffled ``(members, size)`` blocks of sample indices
+    that together cover each member's row of ``pools`` once. The members'
+    permutations are drawn in member order."""
+    perms = np.stack([pool[rng.permutation(pool.size)] for pool in pools])
+    return np.array_split(perms, min(count, pools.shape[1]), axis=1)
 
 
 def mappo_update(
@@ -479,7 +489,7 @@ def mappo_update(
     actors: ActorGroup,
     critic: DenseNet,
     train_config: TrainConfig,
-    actor_opts: Sequence[Adam],
+    actor_opt: Adam,
     critic_opt: Adam,
     rng: np.random.Generator,
     normalizer: Optional[ValueNormalizer] = None,
@@ -488,8 +498,11 @@ def mappo_update(
 
     Actors minimize the negated clipped surrogate minus the entropy bonus on
     their own observation/action samples (every agent sees the shared team
-    advantage); the critic fits the return targets on full-state inputs. A
-    minibatch whose loss or gradients go non-finite is skipped and counted.
+    advantage); the critic fits the return targets on full-state inputs.
+    Each actor minibatch holds one block of samples per actor member and
+    takes one forward, backward and optimizer step for all of them. A
+    member's minibatch whose loss or gradients go non-finite is skipped and
+    counted.
     """
     if buffer.advantages is None or buffer.returns is None:
         raise ContractViolation("compute_gae must run before mappo_update")
@@ -499,6 +512,7 @@ def mappo_update(
         raise ContractViolation("two-phase update needs the refreshed observations in the buffer")
     length, n_agents = buffer.length, buffer.n_agents
     k = actors.env_config.n_servers
+    net, members = actors.net, actors.net.members
 
     adv = buffer.advantages
     adv_mean, adv_std = float(adv.mean()), float(adv.std())
@@ -513,89 +527,88 @@ def mappo_update(
     flat_disp = buffer.dispatch.reshape(length * n_agents)
     flat_old_lp = buffer.log_probs.reshape(length * n_agents)
     flat_adv = np.repeat(adv, n_agents)
-
-    if actors.shared:
-        groups = [(actors.nets[0], actor_opts[0], np.arange(length * n_agents))]
-    else:
-        groups = [
-            (actors.nets[a], actor_opts[a], np.arange(a, length * n_agents, n_agents))
-            for a in range(n_agents)
-        ]
+    # each member's samples (index t * n_agents + agent): every sample for a
+    # shared actor, its own agent's for per-dispatcher actors
+    pools = np.arange(length * n_agents).reshape(-1, members).T
 
     targets = buffer.returns
     if normalizer is not None:
         normalizer.update(targets)
         targets = normalizer.normalize(targets)
 
-    surrogates, vlosses, entropies, ratios, clipfracs = [], [], [], [], []
-    first_ratio: Optional[float] = None
+    # per actor minibatch and member: stepped, surrogate, entropy, ratio, clip fraction
+    records: list[np.ndarray] = []
+    vlosses: list[float] = []
     aborted = 0
 
     for _ in range(cfg.epochs_per_update):
-        for net, opt, pool in groups:
-            for mb in _minibatch_slices(pool.size, cfg.minibatch_count, rng):
-                idx = pool[mb]
-                bits, disp = flat_bits[idx], flat_disp[idx]
-                has_disp = disp >= 0
-                heads_q = PolicyHeads(net.forward(flat_obs[idx]), k)
-                heads_d = PolicyHeads(net.forward(flat_obs2[idx]), k) if two_phase else heads_q
-                new_lp = heads_q.log_prob_queries(bits) + heads_d.log_prob_dispatch(disp)
-                entropy = heads_q.entropy_queries() + heads_d.entropy_dispatch(has_disp)
-                surr = clipped_surrogate(new_lp, flat_old_lp[idx], flat_adv[idx], cfg.clip_epsilon)
-                ent_mean = float(entropy.mean())
-                if first_ratio is None:
-                    first_ratio = surr.mean_ratio
-                if not np.isfinite(surr.objective) or not np.isfinite(ent_mean):
-                    aborted += 1
-                    continue
+        for idx in _minibatches(pools, cfg.minibatch_count, rng):
+            rows = idx.ravel()
+            bits, disp = flat_bits[rows], flat_disp[rows]
+            has_disp = disp >= 0
+            heads_q = PolicyHeads(net.forward(flat_obs[rows]), k)
+            heads_d = PolicyHeads(net.forward(flat_obs2[rows]), k) if two_phase else heads_q
+            new_lp = heads_q.log_prob_queries(bits) + heads_d.log_prob_dispatch(disp)
+            entropy = heads_q.entropy_queries() + heads_d.entropy_dispatch(has_disp)
+            surr = clipped_surrogate(
+                new_lp.reshape(idx.shape), flat_old_lp[idx], flat_adv[idx], cfg.clip_epsilon
+            )
+            ent_mean = entropy.reshape(idx.shape).mean(axis=1)
 
-                coeff, ent_scale = surr.grad_coeff[:, None], cfg.entropy_coef / idx.size
-                g_q = (
-                    -coeff * heads_q.grad_log_prob_queries(bits)
-                    - ent_scale * heads_q.grad_entropy_queries()
-                )
-                g_d = (
-                    -coeff * heads_d.grad_log_prob_dispatch(disp)
-                    - ent_scale * heads_d.grad_entropy_dispatch(has_disp)
-                )
-                if two_phase:
-                    # the cache holds the dispatch forward: backprop it, then
-                    # rerun the query forward and backprop the query terms
-                    grads = net.backward(g_d)
-                    net.forward(flat_obs[idx])
-                    grads = [a + b for a, b in zip(grads, net.backward(g_q))]
-                else:
-                    grads = net.backward(g_q + g_d)
-                if not opt.step(net.params, grads):
-                    aborted += 1
-                    continue
-                surrogates.append(surr.objective)
-                entropies.append(ent_mean)
-                ratios.append(surr.mean_ratio)
-                clipfracs.append(surr.clip_fraction)
+            # a member whose loss is not finite must not step: its NaN
+            # gradients make the optimizer skip it
+            finite = np.isfinite(surr.objective) & np.isfinite(ent_mean)
+            coeff = np.where(finite[:, None], surr.grad_coeff, np.nan).reshape(-1, 1)
+            ent_scale = cfg.entropy_coef / idx.shape[1]
+            g_q = (
+                -coeff * heads_q.grad_log_prob_queries(bits)
+                - ent_scale * heads_q.grad_entropy_queries()
+            )
+            g_d = (
+                -coeff * heads_d.grad_log_prob_dispatch(disp)
+                - ent_scale * heads_d.grad_entropy_dispatch(has_disp)
+            )
+            if two_phase:
+                # the cache holds the dispatch forward: backprop it, then
+                # rerun the query forward and backprop the query terms
+                grads = net.backward(g_d)
+                net.forward(flat_obs[rows])
+                grads = [a + b for a, b in zip(grads, net.backward(g_q))]
+            else:
+                grads = net.backward(g_q + g_d)
+            stepped = actor_opt.step(net.params, grads)
+            aborted += members - int(stepped.sum())
+            records.append(
+                np.stack([stepped, surr.objective, ent_mean, surr.mean_ratio, surr.clip_fraction])
+            )
 
-        for mb in _minibatch_slices(length, cfg.minibatch_count, rng):
+        for (mb,) in _minibatches(np.arange(length)[None], cfg.minibatch_count, rng):
             pred = critic.forward(buffer.states[mb])[:, 0]
             vloss = value_loss(pred, targets[mb])
             if not np.isfinite(vloss):
                 aborted += 1
                 continue
             dpred = cfg.value_coef * 2.0 * (pred - targets[mb]) / mb.size
-            if not critic_opt.step(critic.params, critic.backward(dpred[:, None])):
+            if not critic_opt.step(critic.params, critic.backward(dpred[:, None])).all():
                 aborted += 1
                 continue
             vlosses.append(vloss)
 
-    def _mean(xs: list[float]) -> float:
-        return float(np.mean(xs)) if xs else float("nan")
+    # stepped members' values in epoch, member, minibatch order
+    table = np.array(records).reshape(cfg.epochs_per_update, -1, 5, members)
+    stepped, *metrics = table.transpose(2, 0, 3, 1).reshape(5, -1)
+    surrogate, entropy, ratio, clip_fraction = (m[stepped > 0] for m in metrics)
+
+    def _mean(xs) -> float:
+        return float(np.mean(xs)) if len(xs) else float("nan")
 
     return UpdateStats(
-        surrogate=_mean(surrogates),
+        surrogate=_mean(surrogate),
         value_loss=_mean(vlosses),
-        entropy=_mean(entropies),
-        mean_ratio=_mean(ratios),
-        clip_fraction=_mean(clipfracs),
-        first_minibatch_mean_ratio=first_ratio if first_ratio is not None else float("nan"),
+        entropy=_mean(entropy),
+        mean_ratio=_mean(ratio),
+        clip_fraction=_mean(clip_fraction),
+        first_minibatch_mean_ratio=float(records[0][3, 0]),
         aborted_minibatches=aborted,
         adv_mean=adv_mean,
         adv_std=adv_std,
@@ -698,11 +711,12 @@ def save_checkpoint(
     train_config: TrainConfig,
     update_index: int,
     seed: int,
-    actor_opts: Optional[Sequence[Adam]] = None,
+    actor_opt: Optional[Adam] = None,
     critic_opt: Optional[Adam] = None,
     normalizer: Optional[ValueNormalizer] = None,
 ) -> Path:
-    """Versioned binary dump of networks, optimizer state, and configs."""
+    """Versioned binary dump of networks, optimizer state, and configs; actor
+    member ``i`` under ``actor{i}_`` keys."""
     path = Path(path)
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -710,19 +724,15 @@ def save_checkpoint(
         "train_config": config_as_dict(train_config),
         "update_index": update_index,
         "seed": seed,
-        "n_actor_nets": len(actors.nets),
-        "actor_layer_sizes": list(actors.nets[0].layer_sizes),
+        "n_actor_nets": actors.net.members,
+        "actor_layer_sizes": list(actors.net.layer_sizes),
         "critic_layer_sizes": list(critic.layer_sizes),
-        "has_optimizer": actor_opts is not None and critic_opt is not None,
+        "has_optimizer": actor_opt is not None and critic_opt is not None,
         "has_normalizer": normalizer is not None,
     }
-    arrays: dict[str, np.ndarray] = {}
-    for i, net in enumerate(actors.nets):
-        arrays.update(net.state_arrays(f"actor{i}_"))
-    arrays.update(critic.state_arrays("critic_"))
-    if actor_opts is not None and critic_opt is not None:
-        for i, opt in enumerate(actor_opts):
-            arrays.update(opt.state_arrays(f"actor{i}_opt_"))
+    arrays = {**actors.net.state_arrays("actor{}_"), **critic.state_arrays("critic_")}
+    if actor_opt is not None and critic_opt is not None:
+        arrays.update(actor_opt.state_arrays("actor{}_opt_"))
         arrays.update(critic_opt.state_arrays("critic_opt_"))
     if normalizer is not None:
         arrays.update(normalizer.state_arrays("vnorm_"))
@@ -740,9 +750,17 @@ class CheckpointBundle:
     seed: int
     actors: ActorGroup
     critic: DenseNet
-    actor_opts: Optional[list[Adam]]
+    actor_opt: Optional[Adam]
     critic_opt: Optional[Adam]
     normalizer: Optional[ValueNormalizer]
+
+
+def _optimizers(actor: DenseNet, critic: DenseNet, train_config: TrainConfig) -> tuple[Adam, Adam]:
+    lr, clip = train_config.learning_rate, train_config.max_grad_norm
+    return (
+        Adam(actor.params, lr, max_grad_norm=clip, members=actor.members),
+        Adam(critic.params, lr, max_grad_norm=clip),
+    )
 
 
 def load_checkpoint(path: str | Path) -> CheckpointBundle:
@@ -763,18 +781,13 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
     train_config = TrainConfig(**meta["train_config"])
     rng = np.random.default_rng(0)
     actors = ActorGroup(env_config, train_config, rng)
-    for i, net in enumerate(actors.nets):
-        net.load_state_arrays(f"actor{i}_", arrays)
+    actors.net.load_state_arrays("actor{}_", arrays)
     critic = DenseNet(tuple(meta["critic_layer_sizes"]), rng)
     critic.load_state_arrays("critic_", arrays)
-    actor_opts = critic_opt = None
+    actor_opt = critic_opt = None
     if meta.get("has_optimizer"):
-        actor_opts = []
-        for i, net in enumerate(actors.nets):
-            opt = Adam(net.params, train_config.learning_rate, max_grad_norm=train_config.max_grad_norm)
-            opt.load_state_arrays(f"actor{i}_opt_", arrays)
-            actor_opts.append(opt)
-        critic_opt = Adam(critic.params, train_config.learning_rate, max_grad_norm=train_config.max_grad_norm)
+        actor_opt, critic_opt = _optimizers(actors.net, critic, train_config)
+        actor_opt.load_state_arrays("actor{}_opt_", arrays)
         critic_opt.load_state_arrays("critic_opt_", arrays)
     normalizer = None
     if meta.get("has_normalizer"):
@@ -787,7 +800,7 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         seed=int(meta["seed"]),
         actors=actors,
         critic=critic,
-        actor_opts=actor_opts,
+        actor_opt=actor_opt,
         critic_opt=critic_opt,
         normalizer=normalizer,
     )
@@ -837,9 +850,7 @@ class Trainer:
         self.critic = DenseNet(critic_sizes, init_rng, out_gain=1.0)
         self._check_dimensions()
 
-        lr, clip = train_config.learning_rate, train_config.max_grad_norm
-        self.actor_opts = [Adam(net.params, lr, max_grad_norm=clip) for net in self.actors.nets]
-        self.critic_opt = Adam(self.critic.params, lr, max_grad_norm=clip)
+        self.actor_opt, self.critic_opt = _optimizers(self.actors.net, self.critic, train_config)
         self.normalizer = ValueNormalizer() if train_config.normalize_values else None
 
         self.env = DispatchEnv(replace(env_config, seed=_derived_seed(seed, 0)))
@@ -851,9 +862,9 @@ class Trainer:
     def _check_dimensions(self) -> None:
         expected_actor = actor_obs_dim(self.env_config, self.train_config.parameter_sharing)
         expected_critic = critic_state_dim(self.env_config)
-        if self.actors.nets[0].layer_sizes[0] != expected_actor:
+        if self.actors.net.layer_sizes[0] != expected_actor:
             raise ConfigError(
-                f"actor input size {self.actors.nets[0].layer_sizes[0]} != "
+                f"actor input size {self.actors.net.layer_sizes[0]} != "
                 f"local observation size {expected_actor}"
             )
         if self.critic.layer_sizes[0] != expected_critic:
@@ -866,12 +877,12 @@ class Trainer:
         cls, path: str | Path, out_dir: Optional[str | Path] = None
     ) -> "Trainer":
         bundle = load_checkpoint(path)
-        if bundle.actor_opts is None or bundle.critic_opt is None:
+        if bundle.actor_opt is None or bundle.critic_opt is None:
             raise ConfigError(f"checkpoint {path} has no optimizer state; cannot resume")
         trainer = cls(bundle.env_config, bundle.train_config, seed=bundle.seed, out_dir=out_dir)
         trainer.actors = bundle.actors
         trainer.critic = bundle.critic
-        trainer.actor_opts = bundle.actor_opts
+        trainer.actor_opt = bundle.actor_opt
         trainer.critic_opt = bundle.critic_opt
         trainer.normalizer = bundle.normalizer
         trainer.update_index = bundle.update_index
@@ -894,7 +905,7 @@ class Trainer:
             self.train_config,
             self.update_index,
             self.seed,
-            actor_opts=self.actor_opts,
+            actor_opt=self.actor_opt,
             critic_opt=self.critic_opt,
             normalizer=self.normalizer,
         )
@@ -909,7 +920,7 @@ class Trainer:
             self.actors,
             self.critic,
             self.train_config,
-            self.actor_opts,
+            self.actor_opt,
             self.critic_opt,
             self._shuffle_rng,
             self.normalizer,

@@ -44,6 +44,11 @@ class DenseNet:
     hidden layers default to tanh and the output layer to linear. Hidden
     weights start orthogonal with gain sqrt(2), the output layer with
     ``out_gain`` (small gains keep an initial policy near-uniform).
+
+    ``members`` independent nets are stacked on a leading axis: weights are
+    ``(members, d_in, d_out)`` and biases ``(members, d_out)``, initialized
+    member after member from ``rng``. Input rows are split member-major,
+    so each member sees an equal, contiguous block of rows.
     """
 
     def __init__(
@@ -52,12 +57,14 @@ class DenseNet:
         rng: np.random.Generator,
         activations: Optional[Sequence[str]] = None,
         out_gain: float = 1.0,
+        members: int = 1,
     ):
         if len(layer_sizes) < 2:
             raise ValueError("need at least an input and an output size")
         if any(int(s) < 1 for s in layer_sizes):
             raise ValueError("layer sizes must be positive")
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
+        self.members = int(members)
         n_layers = len(self.layer_sizes) - 1
         if activations is None:
             activations = ["tanh"] * (n_layers - 1) + ["linear"]
@@ -68,15 +75,15 @@ class DenseNet:
                 raise ValueError(f"unsupported activation {act!r}")
         self.activations = tuple(activations)
 
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for i in range(n_layers):
-            d_in, d_out = self.layer_sizes[i], self.layer_sizes[i + 1]
-            gain = out_gain if i == n_layers - 1 else np.sqrt(2.0)
-            self.weights.append(orthogonal_init(d_in, d_out, gain, rng))
-            self.biases.append(np.zeros(d_out))
+        gains = [np.sqrt(2.0)] * (n_layers - 1) + [out_gain]
+        init = [
+            [orthogonal_init(d_in, d_out, gain, rng)
+             for d_in, d_out, gain in zip(self.layer_sizes, self.layer_sizes[1:], gains)]
+            for _ in range(self.members)
+        ]
+        self.weights: list[np.ndarray] = [np.stack(layer) for layer in zip(*init)]
+        self.biases: list[np.ndarray] = [np.zeros((self.members, d)) for d in self.layer_sizes[1:]]
         self._cache: Optional[tuple[list[np.ndarray], list[np.ndarray]]] = None
-        self._squeezed = False
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -94,27 +101,25 @@ class DenseNet:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Batched forward pass; caches intermediates for backward.
 
-        Accepts ``(batch, d_in)`` or a single ``(d_in,)`` vector.
+        Accepts ``(rows, d_in)``, member-major, or with one member a single
+        ``(d_in,)`` vector; returns the outputs in the input's leading shape.
         """
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
+        d_in = self.layer_sizes[0]
+        if x.ndim not in (1, 2) or x.shape[-1] != d_in or (x.size // d_in) % self.members:
             raise ValueError(
-                f"input shape {x.shape} does not match input size {self.layer_sizes[0]}"
+                f"input shape {x.shape} does not match input size {d_in} for {self.members} members"
             )
         inputs = []
         outputs = []
-        h = x
+        h = x.reshape(self.members, -1, d_in)
         for w, b, act in zip(self.weights, self.biases, self.activations):
             inputs.append(h)
-            z = h @ w + b
+            z = h @ w + b[:, None]
             h = np.tanh(z) if act == "tanh" else z
             outputs.append(h)
         self._cache = (inputs, outputs)
-        self._squeezed = squeeze
-        return h[0] if squeeze else h
+        return h.reshape(*x.shape[:-1], -1)
 
     def backward(self, grad_out: np.ndarray) -> list[np.ndarray]:
         """Reverse-mode gradients of a scalar loss w.r.t. every parameter.
@@ -126,38 +131,44 @@ class DenseNet:
             raise ContractViolation("backward called without a cached forward pass")
         inputs, outputs = self._cache
         grad = np.asarray(grad_out, dtype=np.float64)
-        if self._squeezed and grad.ndim == 1:
-            grad = grad[None, :]
-        if grad.shape != outputs[-1].shape:
+        if grad.shape[-1:] != outputs[-1].shape[-1:] or grad.size != outputs[-1].size:
             raise ValueError(
                 f"upstream gradient shape {grad.shape} does not match output {outputs[-1].shape}"
             )
+        grad = grad.reshape(outputs[-1].shape)
         grads: list[np.ndarray] = [np.empty(0)] * (2 * len(self.weights))
         for i in range(len(self.weights) - 1, -1, -1):
             if self.activations[i] == "tanh":
                 grad = grad * (1.0 - outputs[i] ** 2)
-            grads[2 * i] = inputs[i].T @ grad
-            grads[2 * i + 1] = grad.sum(axis=0)
+            grads[2 * i] = inputs[i].swapaxes(1, 2) @ grad
+            grads[2 * i + 1] = grad.sum(axis=1)
             if i > 0:
-                grad = grad @ self.weights[i].T
+                grad = grad @ self.weights[i].swapaxes(1, 2)
         return grads
 
     def state_arrays(self, prefix: str) -> dict[str, np.ndarray]:
-        out = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"{prefix}W{i}"] = w
-            out[f"{prefix}b{i}"] = b
-        return out
+        names = [f"{kind}{i}" for i in range(len(self.weights)) for kind in "Wb"]
+        return _member_slices(prefix, self.members, dict(zip(names, self.params)))
 
     def load_state_arrays(self, prefix: str, arrays) -> None:
-        for i in range(len(self.weights)):
-            w = np.asarray(arrays[f"{prefix}W{i}"], dtype=np.float64)
-            b = np.asarray(arrays[f"{prefix}b{i}"], dtype=np.float64)
-            if w.shape != self.weights[i].shape or b.shape != self.biases[i].shape:
-                raise ValueError("checkpoint parameter shapes do not match the net")
-            self.weights[i] = w
-            self.biases[i] = b
+        names = [f"{kind}{i}" for i in range(len(self.weights)) for kind in "Wb"]
+        params = _stacked_members(prefix, self.members, names, arrays)
+        if [p.shape for p in params] != [p.shape for p in self.params]:
+            raise ValueError("checkpoint parameter shapes do not match the net")
+        self.weights, self.biases = params[0::2], params[1::2]
         self._cache = None
+
+
+def _member_slices(prefix: str, members: int, named: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Member ``k``'s slice of each stacked array, keyed ``prefix.format(k)``
+    plus the array's name."""
+    return {f"{prefix.format(k)}{name}": a[k] for k in range(members) for name, a in named.items()}
+
+
+def _stacked_members(prefix: str, members: int, names: Sequence[str], arrays) -> list[np.ndarray]:
+    """The named arrays :func:`_member_slices` wrote, stacked on the member
+    axis again."""
+    return [np.stack([arrays[f"{prefix.format(k)}{name}"] for k in range(members)]) for name in names]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -343,8 +354,12 @@ class PolicyHeads:
 class Adam:
     """Adam with bias correction and global gradient-norm clipping.
 
-    ``step`` skips the update and returns False when any gradient entry is
-    non-finite, leaving parameters and moments untouched.
+    With ``members=M`` each parameter carries a leading member axis of
+    length M (a single member may use arrays of any shape), and every member
+    is optimized on its own: its own step count, its own gradient norm to
+    clip, and its own skip. A member with any non-finite gradient entry
+    keeps its parameters, moments and step count. ``step`` returns a
+    boolean array of the members that stepped.
     """
 
     def __init__(
@@ -355,49 +370,69 @@ class Adam:
         beta2: float = 0.999,
         eps: float = 1e-8,
         max_grad_norm: Optional[float] = None,
+        members: int = 1,
     ):
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.max_grad_norm = max_grad_norm
-        self.t = 0
+        self.members = members
+        self.t = np.zeros(members, dtype=np.int64)
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        # shapes that broadcast one value per member against each parameter
+        self._member_shapes = [(members,) + (1,) * (p.ndim - 1) for p in params]
 
-    def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> bool:
+    def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> np.ndarray:
         if len(params) != len(self.m) or len(grads) != len(self.m):
             raise ValueError("parameter/gradient structure does not match optimizer state")
+        members = self.members
+        stepped = np.ones(members, dtype=bool)
+        saved: list[tuple[np.ndarray, np.ndarray]] = []
         if not all(np.isfinite(g).all() for g in grads):
-            return False
+            for g in grads:
+                stepped &= np.isfinite(g).reshape(members, -1).all(axis=1)
+            if not stepped.any():
+                return stepped
+            # step the others with the skipped members' gradients zeroed,
+            # then put the skipped members' slices back
+            saved = [(a, a[~stepped]) for a in (*params, *self.m, *self.v)]
+            grads = [np.where(stepped.reshape(s), g, 0.0) for g, s in zip(grads, self._member_shapes)]
         if self.max_grad_norm is not None:
-            total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
-            if total > self.max_grad_norm:
-                scale = self.max_grad_norm / total
-                grads = [g * scale for g in grads]
-        self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+            sq = np.zeros(members)
+            for g in grads:
+                sq += (g * g).reshape(members, -1).sum(axis=1)
+            scale = self.max_grad_norm / np.maximum(np.sqrt(sq), self.max_grad_norm)
+            if (scale < 1.0).any():
+                grads = [g * scale.reshape(s) for g, s in zip(grads, self._member_shapes)]
+        # Python scalar powers: numpy's vectorised power differs from them in
+        # the last bit for some t
+        t = (self.t + 1).tolist()
+        c1 = np.array([1.0 - self.beta1**n for n in t])
+        c2 = np.array([1.0 - self.beta2**n for n in t])
+        for p, g, m, v, s in zip(params, grads, self.m, self.v, self._member_shapes):
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            p -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
-        return True
+            p -= self.learning_rate * (m / c1.reshape(s)) / (np.sqrt(v / c2.reshape(s)) + self.eps)
+        for a, old in saved:
+            a[~stepped] = old
+        self.t += stepped
+        return stepped
 
     def state_arrays(self, prefix: str) -> dict[str, np.ndarray]:
-        out = {f"{prefix}t": np.array(self.t, dtype=np.int64)}
+        named = {"t": self.t}
         for i, (m, v) in enumerate(zip(self.m, self.v)):
-            out[f"{prefix}m{i}"] = m
-            out[f"{prefix}v{i}"] = v
-        return out
+            named[f"m{i}"] = m
+            named[f"v{i}"] = v
+        return _member_slices(prefix, self.members, named)
 
     def load_state_arrays(self, prefix: str, arrays) -> None:
-        self.t = int(arrays[f"{prefix}t"])
-        for i in range(len(self.m)):
-            self.m[i] = np.asarray(arrays[f"{prefix}m{i}"], dtype=np.float64)
-            self.v[i] = np.asarray(arrays[f"{prefix}v{i}"], dtype=np.float64)
+        names = [f"{kind}{i}" for i in range(len(self.m)) for kind in "mv"]
+        self.t, *moments = _stacked_members(prefix, self.members, ["t", *names], arrays)
+        self.m, self.v = moments[0::2], moments[1::2]
 
 
 def finite_difference_gradients(

@@ -289,8 +289,9 @@ def run_sweep(
     (policy, value, seed) as each cell and every cell before it are done, so
     the output is byte-identical to a serial run; :func:`emit_report` then
     rewrites the row file and writes the aggregate file. The first failing
-    cell's exception is raised once the rows before it are written; pending
-    cells are cancelled and every worker has exited when this returns.
+    cell's exception is raised once the rows before it are written; cells
+    still running are stopped, pending cells are cancelled, and every worker
+    has exited when this returns.
     """
     # imported here: the pool machinery adds about 20 ms to importing the
     # package, and only sweeps use it
@@ -336,6 +337,14 @@ def run_sweep(
                         f"throughput={row.throughput_per_slot:.4f} "
                         f"queries={row.queries_per_slot:.3f}"
                     )
+    except BaseException:
+        # shutdown() joins the cells already running in workers, which can
+        # take as long as the longest of them; the executor has no public
+        # way to stop them, so terminate its workers through its private
+        # process table (``_processes`` on Python 3.11)
+        for process in pool._processes.values():
+            process.terminate()
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
     emit_report(rows, out_dir, fmt)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from aoidispatch import AccountingError, ConfigError, ContractViolation, EnvConfig, TrainConfig, Trainer
-from aoidispatch import sweep
+from aoidispatch import cli, sweep
 from aoidispatch.cli import main
 from aoidispatch.mappo import EvalStats
 from aoidispatch.sweep import (
@@ -244,6 +244,20 @@ class TestParallelCells:
         assert not (tmp_path / "aggregate.csv").exists()
         assert multiprocessing.active_children() == []
 
+    def test_failure_stops_running_cells(self, tmp_path, monkeypatch):
+        def fail_first_sleep_others(policy, env_config, episodes, seed):
+            if env_config.query_cost == 0.0:
+                raise ContractViolation("first cell failed")
+            time.sleep(60.0)
+
+        monkeypatch.setattr(sweep, "evaluate", fail_first_sleep_others)
+        spec = SweepSpec.from_dict(tiny_spec_dict(["never"], values=(0.0, 0.05, 0.1, 0.2), seeds=(0,)))
+        start = time.perf_counter()
+        with pytest.raises(ContractViolation, match="first cell failed"):
+            run_sweep(spec, tmp_path)
+        assert time.perf_counter() - start < 10.0
+        assert multiprocessing.active_children() == []
+
 
 BAD_SPEC_SECTIONS = [
     {"env": {"bogus": 1}},
@@ -326,6 +340,24 @@ class TestEmitReport:
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             emit_report([], tmp_path)
+
+
+def progress_updates(path: Path) -> list[int]:
+    """Update indices of a progress file; a csv header after the first line
+    fails the int conversion."""
+    if path.suffix == ".jsonl":
+        return [json.loads(line)["update"] for line in path.read_text().splitlines()]
+    with open(path, newline="") as fh:
+        return [int(row["update"]) for row in csv.DictReader(fh)]
+
+
+def write_train_config(path: Path) -> Path:
+    path.write_text(json.dumps({
+        **tiny_env_kwargs(),
+        "rollout_length": 8, "total_updates": 2, "eval_interval": 50,
+        "hidden_sizes": [8],
+    }))
+    return path
 
 
 def write_tiny_config(path: Path, **extra) -> Path:
@@ -421,6 +453,62 @@ class TestCliVerbs:
         ])
         assert rc == 0
         assert (tmp_path / "run2" / "checkpoint_final.npz").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_fresh_train_starts_progress_file(self, tmp_path, fmt):
+        cfg = write_train_config(tmp_path / "cfg.json")
+        args = ["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run"), "--format", fmt]
+        assert main(args) == 0
+        assert main(args) == 0
+        assert progress_updates(tmp_path / "run" / f"progress.{fmt}") == [1, 2]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_resume_appends_to_progress_file(self, tmp_path, fmt):
+        cfg = write_train_config(tmp_path / "cfg.json")
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(run), "--format", fmt]) == 0
+        assert main(["train", "--resume", str(run / "checkpoint_final.npz"), "--updates", "1",
+                     "--out-dir", str(run), "--format", fmt]) == 0
+        assert progress_updates(run / f"progress.{fmt}") == [1, 2, 3]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_failed_simulate_write_keeps_previous_trajectory(self, tmp_path, monkeypatch, fmt):
+        args = ["simulate", "--policy", "random:0.5", "--slots", "10",
+                "--out-dir", str(tmp_path), "--format", fmt]
+        assert main(args) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_records = cli._trajectory_records
+
+        def fail_after_one_record(env, policy, slots):
+            records = real_records(env, policy, slots)
+            yield next(records)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_trajectory_records", fail_after_one_record)
+        with pytest.raises(OSError):
+            main(args)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failed_evaluate_write_keeps_previous_metrics(self, tmp_path, monkeypatch):
+        trainer = Trainer(EnvConfig(**tiny_env_kwargs()), TrainConfig(hidden_sizes=(8,)), seed=0)
+        ckpt = trainer.save(tmp_path / "ckpt.npz")
+        out = tmp_path / "eval"
+        args = ["evaluate", "--checkpoint", str(ckpt), "--episodes", "1", "--out-dir", str(out)]
+        assert main(args) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        class PartialWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def writerow(self, row):
+                self.fh.write("partial")
+                raise OSError("disk full")
+
+        monkeypatch.setattr(cli.csv, "writer", PartialWriter)
+        with pytest.raises(OSError):
+            main(args)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_evaluate_with_env_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

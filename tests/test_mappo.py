@@ -312,9 +312,9 @@ class TestMappoUpdate:
         )
         buf.advantages = np.ones(8)
         buf.returns = np.ones(8)
-        opts = [Adam(net.params, 0.05) for net in actors.nets]
+        opt = Adam(actors.net.params, 0.05, members=actors.net.members)
         copt = Adam(critic.params, 0.05)
-        mappo_update(buf, actors, critic, train_cfg, opts, copt, np.random.default_rng(0))
+        mappo_update(buf, actors, critic, train_cfg, opt, copt, np.random.default_rng(0))
         heads_after = actors.heads(obs[0])
         assert heads_after.dispatch_probs[0, 0] > prob_before
         assert (heads_after.query_probs[0] > q_before).all()
@@ -329,7 +329,7 @@ class TestMappoUpdate:
         with pytest.raises(ContractViolation):
             mappo_update(
                 buf, trainer.actors, trainer.critic, train_cfg,
-                trainer.actor_opts, trainer.critic_opt, np.random.default_rng(0),
+                trainer.actor_opt, trainer.critic_opt, np.random.default_rng(0),
             )
 
 
@@ -337,7 +337,7 @@ class TestDimensionalityChecks:
     def test_actor_uses_local_observation_size(self):
         env_cfg, train_cfg = small_setup()
         trainer = Trainer(env_cfg, train_cfg, seed=0)
-        assert trainer.actors.nets[0].layer_sizes[0] == actor_obs_dim(env_cfg, True)
+        assert trainer.actors.net.layer_sizes[0] == actor_obs_dim(env_cfg, True)
 
     def test_critic_uses_full_state_size(self):
         env_cfg, train_cfg = small_setup()
@@ -419,10 +419,10 @@ class TestEvaluate:
     def _forced_query_policy(self, env_cfg, bias):
         train_cfg = TrainConfig(hidden_sizes=(8,), parameter_sharing=True)
         actors = ActorGroup(env_cfg, train_cfg, np.random.default_rng(0))
-        net = actors.nets[0]
+        net = actors.net
         net.weights[-1][:] = 0.0
-        net.biases[-1][: env_cfg.n_servers] = bias  # query logits
-        net.biases[-1][env_cfg.n_servers :] = 0.0
+        net.biases[-1][..., : env_cfg.n_servers] = bias  # query logits
+        net.biases[-1][..., env_cfg.n_servers :] = 0.0
         return MappoPolicy(actors, env_cfg, greedy=False)
 
     def test_never_querying_actor_invariant_to_query_cost(self):
@@ -463,7 +463,7 @@ class TestCheckpoints:
         path = trainer.save(tmp_path / "ckpt.npz")
         bundle = load_checkpoint(path)
         assert bundle.update_index == 1
-        for a, b in zip(trainer.actors.nets[0].params, bundle.actors.nets[0].params):
+        for a, b in zip(trainer.actors.net.params, bundle.actors.net.params):
             assert np.array_equal(a, b)
         for a, b in zip(trainer.critic.params, bundle.critic.params):
             assert np.array_equal(a, b)
@@ -534,11 +534,11 @@ class TestCheckpoints:
         env_cfg, train_cfg = small_setup()
         trainer = Trainer(env_cfg, train_cfg, seed=37)
         trainer.run_update()
-        t_before = trainer.actor_opts[0].t
+        t_before = trainer.actor_opt.t.copy()
         path = trainer.save(tmp_path / "ckpt.npz")
         bundle = load_checkpoint(path)
-        assert bundle.actor_opts[0].t == t_before
-        assert np.array_equal(bundle.actor_opts[0].m[0], trainer.actor_opts[0].m[0])
+        assert np.array_equal(bundle.actor_opt.t, t_before)
+        assert np.array_equal(bundle.actor_opt.m[0], trainer.actor_opt.m[0])
 
 
 class TestTrainerLoop:
@@ -558,6 +558,6 @@ class TestTrainerLoop:
     def test_non_sharing_trains(self):
         env_cfg, train_cfg = small_setup(sharing=False)
         trainer = Trainer(env_cfg, train_cfg, seed=43)
-        assert len(trainer.actors.nets) == env_cfg.n_dispatchers
+        assert trainer.actors.net.members == env_cfg.n_dispatchers
         stats = trainer.run_update()
         assert np.isfinite(stats.surrogate)

@@ -17,9 +17,11 @@ from aoidispatch.nn import (
 
 
 def manual_forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    """Duplicate-implementation oracle: explicit loops, no shared code path."""
+    """Duplicate-implementation oracle: explicit loops, no shared code path.
+    Reads member 0."""
     h = list(x)
     for w, b, act in zip(net.weights, net.biases, net.activations):
+        w, b = w[0], b[0]
         out = []
         for j in range(w.shape[1]):
             acc = b[j]
@@ -71,6 +73,28 @@ class TestForward:
         with pytest.raises(ValueError):
             DenseNet((3, 2), rng, activations=["tanh", "linear"])
 
+    def test_members_equal_single_nets_bitwise(self):
+        # a 3-member net is three single nets drawn one after another from
+        # the same rng, each seeing its own contiguous block of rows
+        sizes, members, rows = (5, 8, 6, 4), 3, 7
+        stacked = DenseNet(sizes, np.random.default_rng(3), out_gain=0.5, members=members)
+        rng = np.random.default_rng(3)
+        singles = [DenseNet(sizes, rng, out_gain=0.5) for _ in range(members)]
+        data = np.random.default_rng(4)
+        x = data.standard_normal((members * rows, sizes[0]))
+        g_out = data.standard_normal((members * rows, sizes[-1]))
+        out = stacked.forward(x)
+        grads = stacked.backward(g_out)
+        assert out.shape == (members * rows, sizes[-1])
+        for m, net in enumerate(singles):
+            block = slice(m * rows, (m + 1) * rows)
+            assert all(np.array_equal(a[m], b[0]) for a, b in zip(stacked.params, net.params))
+            assert np.array_equal(out[block], net.forward(x[block]))
+            single_grads = net.backward(g_out[block])
+            assert all(np.array_equal(a[m], b[0]) for a, b in zip(grads, single_grads))
+        with pytest.raises(ValueError):
+            stacked.forward(x[:-1])  # rows must split evenly over the members
+
 
 class TestBackward:
     def test_linear_squared_loss_closed_form(self):
@@ -84,13 +108,17 @@ class TestBackward:
         assert np.allclose(grads[0], 2.0 * (out - y) * x.T)
         assert np.allclose(grads[1], [2.0 * (out - y)])
 
-    @pytest.mark.parametrize("sizes", [(2, 3), (4, 8, 3), (5, 7, 6, 2)])
-    def test_matches_finite_differences(self, sizes):
+    @pytest.mark.parametrize(
+        "sizes, members",
+        [((2, 3), 1), ((4, 8, 3), 1), ((5, 7, 6, 2), 1), ((4, 6, 3), 3)],
+        ids=["sizes0", "sizes1", "sizes2", "members3"],
+    )
+    def test_matches_finite_differences(self, sizes, members):
         rng = np.random.default_rng(42)
-        net = DenseNet(sizes, rng, out_gain=1.0)
+        net = DenseNet(sizes, rng, out_gain=1.0, members=members)
         assert net.n_params <= 200
-        x = rng.standard_normal((5, sizes[0]))
-        g_out = rng.standard_normal((5, sizes[-1]))
+        x = rng.standard_normal((5 * members, sizes[0]))
+        g_out = rng.standard_normal((5 * members, sizes[-1]))
 
         def loss() -> float:
             return float((net.forward(x) * g_out).sum())
@@ -273,6 +301,28 @@ class TestAdam:
         assert not opt.step(params, [np.array([np.nan])])
         assert params[0][0] == 1.0
         assert opt.t == 0
+
+    def test_non_finite_member_skipped_others_step(self):
+        rng = np.random.default_rng(5)
+        params = [rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 2))]
+        opt = Adam(params, learning_rate=0.1, max_grad_norm=1.0, members=3)
+        # reference: members 0 and 2 as separate one-member optimizers
+        refs = {m: [p[m].copy() for p in params] for m in (0, 2)}
+        ref_opts = {m: Adam(refs[m], learning_rate=0.1, max_grad_norm=1.0) for m in refs}
+        first = [rng.standard_normal(p.shape) for p in params]
+        second = [rng.standard_normal(p.shape) * 10.0 for p in params]
+        second[1][1, 0] = np.nan
+        assert opt.step(params, first).all()
+        before = [a.copy() for a in (*params, *opt.m, *opt.v)]
+        assert opt.step(params, second).tolist() == [True, False, True]
+        assert opt.t.tolist() == [2, 1, 2]
+        for a, b in zip((*params, *opt.m, *opt.v), before):
+            assert np.array_equal(a[1], b[1])
+        for m, ref in ref_opts.items():
+            for grads in (first, second):
+                assert ref.step(refs[m], [g[m] for g in grads])
+            assert all(np.array_equal(p[m], r) for p, r in zip(params, refs[m]))
+            assert all(np.array_equal(a[m], r) for a, r in zip(opt.m + opt.v, ref.m + ref.v))
 
     def test_global_norm_clipping(self):
         params = [np.zeros(3), np.zeros(2)]
