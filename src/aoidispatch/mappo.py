@@ -27,7 +27,7 @@ import numpy as np
 from .config import EnvConfig, TrainConfig, config_as_dict
 from .env import DispatchEnv, JointAction, Knowledge, QueryResponses, WorldState, dispatch_targets
 from .errors import ConfigError, ContractViolation
-from .nn import Adam, DenseNet, PolicyHeads
+from .nn import Adam, DenseNet, PolicyHeads, one_blas_thread
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -90,9 +90,12 @@ def refresh_encoded_obs(obs: np.ndarray, responses: QueryResponses, config: EnvC
 
 class ActorGroup:
     """The dispatcher policies: one net whose members are either a single
-    actor shared by all dispatchers or one actor per dispatcher."""
+    actor shared by all dispatchers or one actor per dispatcher. ``rng`` None
+    leaves the net at zero for a checkpoint to fill (see :class:`DenseNet`)."""
 
-    def __init__(self, env_config: EnvConfig, train_config: TrainConfig, rng: np.random.Generator):
+    def __init__(
+        self, env_config: EnvConfig, train_config: TrainConfig, rng: Optional[np.random.Generator]
+    ):
         self.env_config = env_config
         self.shared = train_config.parameter_sharing
         self.obs_dim = actor_obs_dim(env_config, self.shared)
@@ -779,10 +782,10 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         meta[section].pop(retired, None)  # removed fields that older checkpoints carry
     env_config = EnvConfig(**meta["env_config"])
     train_config = TrainConfig(**meta["train_config"])
-    rng = np.random.default_rng(0)
-    actors = ActorGroup(env_config, train_config, rng)
+    # nets built without an initialization draw: the arrays replace it
+    actors = ActorGroup(env_config, train_config, None)
     actors.net.load_state_arrays("actor{}_", arrays)
-    critic = DenseNet(tuple(meta["critic_layer_sizes"]), rng)
+    critic = DenseNet(tuple(meta["critic_layer_sizes"]), None)
     critic.load_state_arrays("critic_", arrays)
     actor_opt = critic_opt = None
     if meta.get("has_optimizer"):
@@ -829,6 +832,11 @@ class Trainer:
     checkpoint every ``eval_interval`` updates plus a final one. Resuming
     restores networks, optimizers, and the value normalizer; environment
     episodes restart fresh (the world itself is not serialized).
+
+    Each update (rollout, GAE and PPO epochs) runs with every loaded OpenBLAS
+    on one thread, and the caller's thread counts are back in place when
+    :meth:`run_update` returns or raises; evaluation and checkpoint writes
+    run on the caller's counts.
     """
 
     def __init__(
@@ -838,20 +846,29 @@ class Trainer:
         seed: int = 0,
         out_dir: Optional[str | Path] = None,
     ):
-        self.env_config = env_config
-        self.train_config = train_config
-        self.seed = seed
-        self.out_dir = Path(out_dir) if out_dir is not None else None
-        self.update_index = 0
-
         init_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        self.actors = ActorGroup(env_config, train_config, init_rng)
+        actors = ActorGroup(env_config, train_config, init_rng)
         critic_sizes = (critic_state_dim(env_config), *train_config.hidden_sizes, 1)
-        self.critic = DenseNet(critic_sizes, init_rng, out_gain=1.0)
-        self._check_dimensions()
+        critic = DenseNet(critic_sizes, init_rng, out_gain=1.0)
+        actor_opt, critic_opt = _optimizers(actors.net, critic, train_config)
+        normalizer = ValueNormalizer() if train_config.normalize_values else None
+        fresh = CheckpointBundle(
+            env_config, train_config, 0, seed, actors, critic, actor_opt, critic_opt, normalizer
+        )
+        self._start(fresh, out_dir)
 
-        self.actor_opt, self.critic_opt = _optimizers(self.actors.net, self.critic, train_config)
-        self.normalizer = ValueNormalizer() if train_config.normalize_values else None
+    def _start(self, state: CheckpointBundle, out_dir: Optional[str | Path]) -> None:
+        """Take over the networks, optimizers and update count of ``state``
+        and start a fresh environment and the seed's sampling streams."""
+        self.env_config = env_config = state.env_config
+        self.train_config = state.train_config
+        self.seed = seed = state.seed
+        self.out_dir = Path(out_dir) if out_dir is not None else None
+        self.update_index = state.update_index
+        self.actors, self.critic = state.actors, state.critic
+        self._check_dimensions()
+        self.actor_opt, self.critic_opt = state.actor_opt, state.critic_opt
+        self.normalizer = state.normalizer
 
         self.env = DispatchEnv(replace(env_config, seed=_derived_seed(seed, 0)))
         self._sample_rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
@@ -879,13 +896,8 @@ class Trainer:
         bundle = load_checkpoint(path)
         if bundle.actor_opt is None or bundle.critic_opt is None:
             raise ConfigError(f"checkpoint {path} has no optimizer state; cannot resume")
-        trainer = cls(bundle.env_config, bundle.train_config, seed=bundle.seed, out_dir=out_dir)
-        trainer.actors = bundle.actors
-        trainer.critic = bundle.critic
-        trainer.actor_opt = bundle.actor_opt
-        trainer.critic_opt = bundle.critic_opt
-        trainer.normalizer = bundle.normalizer
-        trainer.update_index = bundle.update_index
+        trainer = cls.__new__(cls)  # no fresh networks: the checkpoint's replace them
+        trainer._start(bundle, out_dir)
         return trainer
 
     def policy(self, greedy: bool = False) -> MappoPolicy:
@@ -911,20 +923,23 @@ class Trainer:
         )
 
     def run_update(self) -> UpdateStats:
-        buffer = collect_rollout(
-            self.env, self.actors, self.critic, self.train_config, self._sample_rng, self.normalizer
-        )
-        compute_gae(buffer, self.train_config.discount, self.train_config.gae_lambda)
-        stats = mappo_update(
-            buffer,
-            self.actors,
-            self.critic,
-            self.train_config,
-            self.actor_opt,
-            self.critic_opt,
-            self._shuffle_rng,
-            self.normalizer,
-        )
+        """One rollout, GAE and PPO update, on one BLAS thread (see
+        :func:`one_blas_thread`)."""
+        with one_blas_thread():
+            buffer = collect_rollout(
+                self.env, self.actors, self.critic, self.train_config, self._sample_rng, self.normalizer
+            )
+            compute_gae(buffer, self.train_config.discount, self.train_config.gae_lambda)
+            stats = mappo_update(
+                buffer,
+                self.actors,
+                self.critic,
+                self.train_config,
+                self.actor_opt,
+                self.critic_opt,
+                self._shuffle_rng,
+                self.normalizer,
+            )
         self.update_index += 1
         return stats
 

@@ -15,7 +15,11 @@ floor is active), so they match finite differences everywhere.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +29,86 @@ LOGIT_CLAMP = 30.0
 PROB_FLOOR = 1e-8
 
 _ACTIVATIONS = ("tanh", "linear")
+
+# OpenBLAS thread-count (getter, setter) pairs, by build: numpy wheels bundle
+# scipy-openblas, other builds export the plain or 64-bit-integer names
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_PROC_MAPS = "/proc/self/maps"
+
+
+@functools.cache
+def _openblas_thread_calls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """(get, set) thread-count calls of each OpenBLAS loaded in this process.
+
+    Found once, from the shared objects mapped into the process. Empty where
+    the process map cannot be read (hosts other than Linux) or no loaded
+    OpenBLAS exports a known pair; a library that cannot be reopened by its
+    mapped path (say, replaced on disk) is left out.
+    """
+    try:
+        with open(_PROC_MAPS) as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return ()
+    calls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                calls.append((get, set_))
+                break
+    return tuple(calls)
+
+
+def pin_one_blas_thread() -> None:
+    """Set each loaded OpenBLAS to one thread for the rest of the process."""
+    for _, set_threads in _openblas_thread_calls():
+        set_threads(1)
+
+
+_one_thread_lock = threading.Lock()
+_one_thread_depth = 0
+_caller_thread_counts: list[int] = []
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the block with each loaded OpenBLAS on one thread, then give each
+    library back the thread count it had on entry, also when the block
+    raises.
+
+    Training minibatches (at most a few hundred rows by 64 columns) gain
+    little from a second BLAS thread, which spins between them: on two
+    cores it nearly doubled the CPU time of a training update and saved a
+    few percent of its wall time. Blocks
+    may nest or overlap across threads; the outermost entry records the
+    counts and the last exit restores them. Does nothing where no OpenBLAS
+    thread control is found.
+    """
+    global _one_thread_depth
+    with _one_thread_lock:
+        if _one_thread_depth == 0:
+            _caller_thread_counts[:] = [get() for get, _ in _openblas_thread_calls()]
+            pin_one_blas_thread()
+        _one_thread_depth += 1
+    try:
+        yield
+    finally:
+        with _one_thread_lock:
+            _one_thread_depth -= 1
+            if _one_thread_depth == 0:
+                for (_, set_threads), count in zip(_openblas_thread_calls(), _caller_thread_counts):
+                    set_threads(count)
 
 
 def orthogonal_init(
@@ -48,13 +132,15 @@ class DenseNet:
     ``members`` independent nets are stacked on a leading axis: weights are
     ``(members, d_in, d_out)`` and biases ``(members, d_out)``, initialized
     member after member from ``rng``. Input rows are split member-major,
-    so each member sees an equal, contiguous block of rows.
+    so each member sees an equal, contiguous block of rows. With ``rng``
+    None every parameter starts at zero and nothing is drawn, for a net
+    whose parameters :meth:`load_state_arrays` supplies next.
     """
 
     def __init__(
         self,
         layer_sizes: Sequence[int],
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator],
         activations: Optional[Sequence[str]] = None,
         out_gain: float = 1.0,
         members: int = 1,
@@ -75,13 +161,16 @@ class DenseNet:
                 raise ValueError(f"unsupported activation {act!r}")
         self.activations = tuple(activations)
 
-        gains = [np.sqrt(2.0)] * (n_layers - 1) + [out_gain]
-        init = [
-            [orthogonal_init(d_in, d_out, gain, rng)
-             for d_in, d_out, gain in zip(self.layer_sizes, self.layer_sizes[1:], gains)]
-            for _ in range(self.members)
-        ]
-        self.weights: list[np.ndarray] = [np.stack(layer) for layer in zip(*init)]
+        shapes = list(zip(self.layer_sizes, self.layer_sizes[1:]))
+        if rng is None:
+            self.weights = [np.zeros((self.members, d_in, d_out)) for d_in, d_out in shapes]
+        else:
+            gains = [np.sqrt(2.0)] * (n_layers - 1) + [out_gain]
+            init = [
+                [orthogonal_init(d_in, d_out, gain, rng) for (d_in, d_out), gain in zip(shapes, gains)]
+                for _ in range(self.members)
+            ]
+            self.weights = [np.stack(layer) for layer in zip(*init)]
         self.biases: list[np.ndarray] = [np.zeros((self.members, d)) for d in self.layer_sizes[1:]]
         self._cache: Optional[tuple[list[np.ndarray], list[np.ndarray]]] = None
 

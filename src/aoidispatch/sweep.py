@@ -15,7 +15,6 @@ Reported rewards are per-slot team rewards.
 from __future__ import annotations
 
 import csv
-import ctypes
 import json
 import os
 from dataclasses import dataclass, fields, replace
@@ -35,6 +34,7 @@ from .config import (
 from .env import DispatchEnv
 from .errors import AccountingError, ConfigError
 from .mappo import Trainer, _derived_seed, atomic_write, evaluate, load_policy
+from .nn import pin_one_blas_thread
 
 SWEEPABLE = ("query_cost", "arrival_prob", "n_dispatchers")
 
@@ -211,32 +211,13 @@ class RowWriter:
             self._fh.write(json.dumps(data, sort_keys=True) + "\n")
 
 
-# OpenBLAS thread-count setters, by build (numpy wheels bundle scipy-openblas)
-_BLAS_SET_THREADS = (
-    "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads",
-)
-
-
-def _pin_blas_threads() -> None:
-    """Limit each OpenBLAS loaded in this process to one thread.
-
-    Sweep workers already run one per CPU; a BLAS thread pool in each would
-    oversubscribe the cores (on two cores, two workers with two BLAS threads
-    each ran a training sweep slower than one serial process). A library
-    exposing none of the known setters, or one that cannot be reopened by
-    its mapped path (say, replaced on disk), is left as it is.
-    """
-    with open("/proc/self/maps") as fh:
-        paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        setter = next((getattr(lib, n) for n in _BLAS_SET_THREADS if hasattr(lib, n)), None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
+def _usable_cpus() -> int:
+    """CPUs this process may run on; all of the host's where the OS cannot
+    say (no ``sched_getaffinity`` outside Linux)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _evaluate_cell(
@@ -314,11 +295,15 @@ def run_sweep(
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[ResultRow] = []
     # fork: a worker inherits the imported modules, so starting one costs a
-    # fork rather than a fresh interpreter importing numpy on every call
+    # fork rather than a fresh interpreter importing numpy on every call;
+    # one BLAS thread per worker: workers already fill the CPUs, and a BLAS
+    # thread pool in each would oversubscribe them (on two cores, two workers
+    # with two BLAS threads each ran a training sweep slower than one serial
+    # process)
     pool = ProcessPoolExecutor(
-        min(len(os.sched_getaffinity(0)), len(jobs)),
+        min(_usable_cpus(), len(jobs)),
         mp_context=multiprocessing.get_context("fork"),
-        initializer=_pin_blas_threads,
+        initializer=pin_one_blas_thread,
     )
     try:
         futures = [pool.submit(_evaluate_cell, *job) for job in jobs]

@@ -21,6 +21,7 @@ from aoidispatch import (
     total_loss,
     value_loss,
 )
+from aoidispatch import nn
 from aoidispatch.env import DispatchEnv, JointAction
 from aoidispatch.mappo import (
     RolloutBuffer,
@@ -525,6 +526,25 @@ class TestCheckpoints:
             trainer.save(path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+
+    def test_load_draws_no_initialization(self, tmp_path, monkeypatch):
+        env_cfg, train_cfg = small_setup(sharing=False)
+        trainer = Trainer(env_cfg, train_cfg, seed=41)
+        trainer.run_update()
+        path = trainer.save(tmp_path / "ckpt.npz")
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew an initialization")
+
+        monkeypatch.setattr(nn, "orthogonal_init", no_init)
+        bundle = load_checkpoint(path)
+        resumed = Trainer.from_checkpoint(path)
+        for loaded in (bundle, resumed):
+            for a, b in zip(trainer.actors.net.params + trainer.critic.params,
+                            loaded.actors.net.params + loaded.critic.params):
+                assert np.array_equal(a, b)
+        resumed.save(tmp_path / "again.npz")
+        assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
 
     def test_missing_checkpoint_rejected(self):
         with pytest.raises(ConfigError):
