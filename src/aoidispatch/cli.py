@@ -2,14 +2,14 @@
 
 Configuration comes from an optional config file (``key = value`` lines or
 JSON) plus repeatable ``--set key=value`` overrides; ``--seed``, ``--out-dir``
-and ``--format csv|jsonl`` work on every verb. All reported rewards are team
+and ``--format csv|jsonl`` work on every verb but ``selftest``. Every record
+file goes through :mod:`aoidispatch.records`. All reported rewards are team
 rewards per slot.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -30,7 +30,8 @@ from .config import (
 )
 from .env import DispatchEnv
 from .errors import ConfigError
-from .mappo import Trainer, atomic_write, evaluate, load_policy
+from .mappo import Trainer, evaluate, load_policy
+from .records import FORMATS, write_records
 from .selftest import run_all
 from .sweep import SweepSpec, run_sweep
 
@@ -75,7 +76,7 @@ def _trajectory_records(env: DispatchEnv, policy, slots: int):
             "queue_lengths": queue_lengths,
             "arrivals": arrivals,
             "queries": [[int(b) for b in row] for row in action.queries],
-            "dispatch": [d if d is not None else None for d in action.dispatch],
+            "dispatch": list(action.dispatch),
             "rewards": list(outcome.rewards),
             "team_reward": outcome.team_reward,
             "feedback": [
@@ -92,40 +93,27 @@ def _trajectory_records(env: DispatchEnv, policy, slots: int):
         }
 
 
+TRAJECTORY_FIELDS = [
+    "slot", "available", "queue_lengths", "arrivals", "queries",
+    "dispatch", "rewards", "team_reward", "feedback",
+]
+
+
 def _join(values) -> str:
     return ";".join("" if v is None else str(int(v) if isinstance(v, bool) else v) for v in values)
 
 
-def _write_trajectory(records, path: Path, fmt: str) -> int:
-    count = 0
-    with atomic_write(path, "w", newline="") as fh:
-        if fmt == "jsonl":
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-                count += 1
-        else:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["slot", "available", "queue_lengths", "arrivals", "queries",
-                 "dispatch", "rewards", "team_reward", "feedback"]
-            )
-            for record in records:
-                writer.writerow([
-                    record["slot"],
-                    _join(record["available"]),
-                    _join(record["queue_lengths"]),
-                    _join(record["arrivals"]),
-                    ";".join("".join(str(b) for b in row) for row in record["queries"]),
-                    _join(record["dispatch"]),
-                    ";".join(repr(r) for r in record["rewards"]),
-                    repr(record["team_reward"]),
-                    ";".join(
-                        f"{e['dispatcher']}:{e['server']}:{e['job_id']}:{'ACK' if e['accepted'] else 'NAK'}"
-                        for e in record["feedback"]
-                    ),
-                ])
-                count += 1
-    return count
+def _csv_trajectory_record(record: dict) -> dict:
+    """A trajectory record with each list flattened into one csv cell."""
+    flat = dict(record)
+    for key in ("available", "queue_lengths", "arrivals", "dispatch", "rewards"):
+        flat[key] = _join(record[key])
+    flat["queries"] = ";".join("".join(str(b) for b in row) for row in record["queries"])
+    flat["feedback"] = ";".join(
+        f"{e['dispatcher']}:{e['server']}:{e['job_id']}:{'ACK' if e['accepted'] else 'NAK'}"
+        for e in record["feedback"]
+    )
+    return flat
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -136,11 +124,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     env = DispatchEnv(env_config)
     policy = _resolve_policy(args.policy, env_config)
     slots = args.slots if args.slots is not None else env_config.horizon
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"trajectory.{args.format}"
-    count = _write_trajectory(_trajectory_records(env, policy, slots), path, args.format)
-    print(f"wrote {count} slots to {path}")
+    path = Path(args.out_dir) / f"trajectory.{args.format}"
+    records = _trajectory_records(env, policy, slots)
+    if args.format == "csv":
+        records = map(_csv_trajectory_record, records)
+    write_records(path, args.format, TRAJECTORY_FIELDS, records)
+    print(f"wrote {slots} slots to {path}")
     return 0
 
 
@@ -161,30 +150,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             seed=args.seed if args.seed is not None else 0,
             out_dir=out_dir,
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    columns = [
-        "update", "surrogate", "value_loss", "entropy", "mean_ratio",
-        "clip_fraction", "first_minibatch_mean_ratio", "aborted_minibatches",
-        "adv_mean", "adv_std", "seconds", "eval_reward_per_slot", "eval_queries_per_slot",
-    ]
-    # a fresh run starts its progress file, a resumed run appends to it
-    with open(out_dir / f"progress.{args.format}", "a" if args.resume else "w", newline="") as fh:
-        writer = csv.writer(fh) if args.format == "csv" else None
-        if writer is not None and fh.tell() == 0:
-            writer.writerow(columns)
-
-        def on_record(rec: dict) -> None:
-            if writer is None:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            else:
-                writer.writerow([rec.get(c, "") for c in columns])
-            fh.flush()
-
-        trainer.train(
-            n_updates=args.updates if args.resume else None,
-            log=lambda msg: print(msg, flush=True),
-            on_record=on_record,
-        )
+    trainer.train(
+        n_updates=args.updates if args.resume else None,
+        progress_path=out_dir / f"progress.{args.format}",
+        log=lambda msg: print(msg, flush=True),
+    )
     final = out_dir / "checkpoint_final.npz"
     print(f"training done: {trainer.update_index} updates, checkpoint at {final}")
     return 0
@@ -217,16 +187,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     }
     print(json.dumps(record, sort_keys=True))
     if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"metrics.{args.format}"
-        with atomic_write(path, "w", newline="") as fh:
-            if args.format == "jsonl":
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-            else:
-                writer = csv.writer(fh)
-                writer.writerow(list(record))
-                writer.writerow([record[k] for k in record])
+        path = Path(args.out_dir) / f"metrics.{args.format}"
+        write_records(path, args.format, list(record), [record])
         print(f"wrote {path}")
     return 0
 
@@ -255,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, out_default: Optional[str]) -> None:
         p.add_argument("--seed", type=int, default=None, help="override the base seed")
         p.add_argument("--out-dir", default=out_default, help="output directory")
-        p.add_argument("--format", choices=("csv", "jsonl"), default="csv", help="output file format")
+        p.add_argument("--format", choices=FORMATS, default="csv", help="output file format")
 
     p = sub.add_parser("simulate", help="run one policy and dump the slot-by-slot trajectory")
     p.add_argument("--config", "-c", help="env config file (key = value or JSON)")
@@ -289,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("selftest", help="run the built-in invariant and oracle checks")
-    common(p, None)
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -157,7 +157,9 @@ class TrainConfig:
             conv = {"float": _as_float, "int": _as_int, "bool": _as_bool}.get(f.type)
             if conv is not None:
                 set_(self, f.name, conv(getattr(self, f.name), f.name))
-        set_(self, "hidden_sizes", tuple(_as_int(h, "hidden_sizes") for h in self.hidden_sizes))
+        hidden = self.hidden_sizes  # a scalar is one layer: key = value text has no 1-lists
+        hidden = hidden if isinstance(hidden, (list, tuple)) else (hidden,)
+        set_(self, "hidden_sizes", tuple(_as_int(h, "hidden_sizes") for h in hidden))
         if self.clip_epsilon <= 0.0:
             raise ConfigError("clip_epsilon must be > 0")
         if self.value_coef <= 0.0 or self.entropy_coef <= 0.0:

@@ -15,10 +15,10 @@ issued this slot refreshes what the actor sees from the next slot on.
 from __future__ import annotations
 
 import json
-import os
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+import zipfile
+from contextlib import ExitStack
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -28,6 +28,7 @@ from .config import EnvConfig, TrainConfig, config_as_dict
 from .env import DispatchEnv, JointAction, Knowledge, QueryResponses, WorldState, dispatch_targets
 from .errors import ConfigError, ContractViolation
 from .nn import Adam, DenseNet, PolicyHeads, one_blas_thread
+from .records import RecordWriter, atomic_write
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -469,8 +470,11 @@ class UpdateStats:
     adv_mean: float
     adv_std: float
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
+
+PROGRESS_FIELDS = [
+    "update", *(f.name for f in fields(UpdateStats)),
+    "seconds", "eval_reward_per_slot", "eval_queries_per_slot",
+]
 
 
 def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
@@ -692,20 +696,6 @@ def evaluate(policy, env_config: EnvConfig, episodes: int, seed: int) -> EvalSta
 # checkpoints
 
 
-@contextmanager
-def atomic_write(path: Path, mode: str = "w", **open_kwargs):
-    """File object that writes ``path`` whole or not at all: a temporary
-    file in the same directory replaces ``path`` in one rename when the
-    block completes, and is removed if the block raises."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode, **open_kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def save_checkpoint(
     path: str | Path,
     actors: ActorGroup,
@@ -739,7 +729,6 @@ def save_checkpoint(
         arrays.update(critic_opt.state_arrays("critic_opt_"))
     if normalizer is not None:
         arrays.update(normalizer.state_arrays("vnorm_"))
-    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path, "wb") as fh:
         np.savez_compressed(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
     return path
@@ -768,15 +757,17 @@ def _optimizers(actor: DenseNet, critic: DenseNet, train_config: TrainConfig) ->
 
 def load_checkpoint(path: str | Path) -> CheckpointBundle:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"checkpoint {path} does not exist")
-    with np.load(path) as data:
-        arrays = {key: data[key] for key in data.files}
-    meta = json.loads(bytes(arrays.pop("meta")).decode())
-    if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+    try:
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = json.loads(bytes(arrays.pop("meta")).decode())
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        # a missing, text, empty, .npy or broken zip file, or an npz without checkpoint metadata
+        raise ConfigError(f"cannot load checkpoint {path}: {type(exc).__name__}: {exc}") from exc
+    version = meta.get("format_version") if isinstance(meta, dict) else None
+    if version != CHECKPOINT_FORMAT_VERSION:
         raise ConfigError(
-            f"checkpoint {path} has format version {meta.get('format_version')}, "
-            f"expected {CHECKPOINT_FORMAT_VERSION}"
+            f"checkpoint {path} has format version {version}, expected {CHECKPOINT_FORMAT_VERSION}"
         )
     for section, retired in (("env_config", "discount"), ("train_config", "greedy_eval")):
         meta[section].pop(retired, None)  # removed fields that older checkpoints carry
@@ -828,10 +819,11 @@ def load_policy(path: str | Path, greedy: bool = False) -> tuple[MappoPolicy, En
 class Trainer:
     """Owns the training state and runs the update loop.
 
-    Emits one JSON line per update when given a progress path and writes a
-    checkpoint every ``eval_interval`` updates plus a final one. Resuming
-    restores networks, optimizers, and the value normalizer; environment
-    episodes restart fresh (the world itself is not serialized).
+    Writes one progress record per update when given a progress path (see
+    :meth:`train`) and a checkpoint every ``eval_interval`` updates plus a
+    final one. Resuming restores networks, optimizers, and the value
+    normalizer; environment episodes restart fresh (the world itself is not
+    serialized).
 
     Each update (rollout, GAE and PPO epochs) runs with every loaded OpenBLAS
     on one thread, and the caller's thread counts are back in place when
@@ -950,18 +942,28 @@ class Trainer:
         log: Optional[Callable[[str], None]] = None,
         on_record: Optional[Callable[[dict], None]] = None,
     ) -> list[dict]:
-        """Run updates until ``total_updates``; returns per-update records."""
+        """Run updates until ``total_updates``; returns per-update records.
+
+        With ``progress_path``, each record (:data:`PROGRESS_FIELDS`) also
+        goes to that file, as csv for a ``.csv`` suffix and jsonl otherwise.
+        A trainer at update 0 starts the file over; any other appends to it.
+        """
         cfg = self.train_config
         target = self.update_index + n_updates if n_updates is not None else cfg.total_updates
-        progress_fh = None
-        if progress_path is not None:
-            Path(progress_path).parent.mkdir(parents=True, exist_ok=True)
-            progress_fh = open(progress_path, "a")
-        try:
+        with ExitStack() as files:
+            progress = None
+            if progress_path is not None:
+                progress_path = Path(progress_path)
+                progress_path.parent.mkdir(parents=True, exist_ok=True)
+                progress_fh = files.enter_context(
+                    open(progress_path, "w" if self.update_index == 0 else "a", newline="")
+                )
+                fmt = "csv" if progress_path.suffix == ".csv" else "jsonl"
+                progress = RecordWriter(progress_fh, fmt, PROGRESS_FIELDS)
             while self.update_index < target:
                 start = time.perf_counter()
                 stats = self.run_update()
-                record = {"update": self.update_index, **stats.as_dict()}
+                record = {"update": self.update_index, **vars(stats)}
                 record["seconds"] = round(time.perf_counter() - start, 4)
                 if self.update_index % cfg.eval_interval == 0 or self.update_index == target:
                     eval_stats = evaluate(
@@ -972,8 +974,8 @@ class Trainer:
                     if self.out_dir is not None:
                         self.save(self.out_dir / f"checkpoint_{self.update_index:06d}.npz")
                 self.history.append(record)
-                if progress_fh is not None:
-                    progress_fh.write(json.dumps(record, sort_keys=True) + "\n")
+                if progress is not None:
+                    progress.write(record)
                     progress_fh.flush()
                 if on_record is not None:
                     on_record(record)
@@ -989,7 +991,4 @@ class Trainer:
                     )
             if self.out_dir is not None:
                 self.save(self.out_dir / "checkpoint_final.npz")
-        finally:
-            if progress_fh is not None:
-                progress_fh.close()
         return self.history

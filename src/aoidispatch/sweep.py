@@ -14,12 +14,10 @@ Reported rewards are per-slot team rewards.
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from .baselines import BaselineKind, BaselinePolicy, parse_policy_spec
 from .config import (
@@ -33,8 +31,9 @@ from .config import (
 )
 from .env import DispatchEnv
 from .errors import AccountingError, ConfigError
-from .mappo import Trainer, _derived_seed, atomic_write, evaluate, load_policy
+from .mappo import Trainer, _derived_seed, evaluate, load_policy
 from .nn import pin_one_blas_thread
+from .records import RecordWriter, check_format, write_records
 
 SWEEPABLE = ("query_cost", "arrival_prob", "n_dispatchers")
 
@@ -119,6 +118,9 @@ class SweepSpec:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
+        for key in ("values", "policies", "seeds"):  # a string would be read per character
+            if key in data and not isinstance(data[key], (list, tuple)):
+                raise ConfigError(f"sweep {key!r} must be an array, got {data[key]!r}")
         try:
             swept = data["swept_parameter"]
             values = list(data["values"])
@@ -178,37 +180,6 @@ class SweepSpec:
                             f"needs {cfg.n_dispatchers}x{cfg.n_servers}"
                         )
         return cells
-
-
-def _format_cell(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _check_format(fmt: str) -> None:
-    if fmt not in ("csv", "jsonl"):
-        raise ConfigError(f"unknown output format {fmt!r}")
-
-
-class RowWriter:
-    """Writes records (mappings holding ``names``) to an open text file as
-    csv, header first, or as jsonl. The one serializer of sweep output."""
-
-    def __init__(self, fh, fmt: str, names: Sequence[str] = ROW_FIELDS):
-        _check_format(fmt)
-        self._fh = fh
-        self._names = names
-        self._csv = csv.writer(fh) if fmt == "csv" else None
-        if self._csv is not None:
-            self._csv.writerow(names)
-
-    def write(self, record: Mapping[str, Any]) -> None:
-        if self._csv is not None:
-            self._csv.writerow(_format_cell(record[name]) for name in self._names)
-        else:
-            data = {name: record[name] for name in self._names}
-            self._fh.write(json.dumps(data, sort_keys=True) + "\n")
 
 
 def _usable_cpus() -> int:
@@ -285,7 +256,7 @@ def run_sweep(
 
     out_dir = Path(out_dir)
     cells = spec.validate()
-    _check_format(fmt)
+    check_format(fmt)
     jobs = [
         (policy_spec, env_config, spec, seed, p_idx, v_idx)
         for p_idx, policy_spec in enumerate(spec.policies)
@@ -308,7 +279,7 @@ def run_sweep(
     try:
         futures = [pool.submit(_evaluate_cell, *job) for job in jobs]
         with open(out_dir / f"rows.{fmt}", "w", newline="") as fh:
-            writer = RowWriter(fh, fmt)
+            writer = RecordWriter(fh, fmt, ROW_FIELDS)
             for future in futures:
                 row = future.result()
                 row.check_accounting()
@@ -391,15 +362,8 @@ def emit_report(
     for row in rows:
         row.check_accounting()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows_path = out_dir / f"rows.{fmt}"
     agg_path = out_dir / f"aggregate.{fmt}"
-    for path, names, records in (
-        (rows_path, ROW_FIELDS, [vars(row) for row in rows]),
-        (agg_path, AGGREGATE_FIELDS, aggregate_rows(rows)),
-    ):
-        with atomic_write(path, "w", newline="") as fh:
-            writer = RowWriter(fh, fmt, names)
-            for record in records:
-                writer.write(record)
+    write_records(rows_path, fmt, ROW_FIELDS, map(vars, rows))
+    write_records(agg_path, fmt, AGGREGATE_FIELDS, aggregate_rows(rows))
     return rows_path, agg_path

@@ -10,8 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from aoidispatch import AccountingError, ConfigError, ContractViolation, EnvConfig, TrainConfig, Trainer
-from aoidispatch import cli, sweep
+from aoidispatch import (
+    AccountingError,
+    ConfigError,
+    ContractViolation,
+    EnvConfig,
+    TrainConfig,
+    Trainer,
+    load_checkpoint,
+)
+from aoidispatch import cli, records, sweep
 from aoidispatch.cli import main
 from aoidispatch.mappo import EvalStats
 from aoidispatch.sweep import (
@@ -266,6 +274,10 @@ BAD_SPEC_SECTIONS = [
     {"env": [1, 2]},
     {"eval_episodes": "x"},
     {"seeds": [0, "one"]},
+    {"values": 5},
+    {"seeds": 3},
+    {"policies": "never"},
+    {"values": "0.1"},
 ]
 
 
@@ -274,6 +286,11 @@ class TestSweepSpec:
     def test_bad_section_rejected(self, bad):
         with pytest.raises(ConfigError):
             SweepSpec.from_dict({**tiny_spec_dict(["never"]), **bad})
+
+    @pytest.mark.parametrize("key", ["values", "policies", "seeds"])
+    def test_non_array_entry_names_its_key(self, key):
+        with pytest.raises(ConfigError, match=f"'{key}' must be an array"):
+            SweepSpec.from_dict({**tiny_spec_dict(["never"]), key: "0"})
 
     @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.name)
     def test_shipped_specs_validate(self, path):
@@ -332,7 +349,7 @@ class TestEmitReport:
                 raise OSError("disk full")
             return str(value)
 
-        monkeypatch.setattr(sweep, "_format_cell", format_then_fail)
+        monkeypatch.setattr(records, "_format_cell", format_then_fail)
         with pytest.raises(OSError):
             emit_report(rows, tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
@@ -505,7 +522,7 @@ class TestCliVerbs:
                 self.fh.write("partial")
                 raise OSError("disk full")
 
-        monkeypatch.setattr(cli.csv, "writer", PartialWriter)
+        monkeypatch.setattr(records.csv, "writer", PartialWriter)
         with pytest.raises(OSError):
             main(args)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -618,3 +635,36 @@ class TestCliVerbs:
 
     def test_selftest_verb(self):
         assert main(["selftest"]) == 0
+
+    @pytest.mark.parametrize("option", [["--seed", "1"], ["--out-dir", "out"], ["--format", "csv"]],
+                             ids=["seed", "out-dir", "format"])
+    def test_selftest_rejects_options_it_would_ignore(self, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", *option])
+        assert exc.value.code == 2
+
+    def test_scalar_hidden_sizes_trains_one_hidden_layer(self, tmp_path):
+        cfg = write_tiny_config(tmp_path / "env.cfg")
+        run = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--set", "hidden_sizes=8",
+                   "--set", "rollout_length=8", "--set", "eval_interval=50",
+                   "--updates", "1", "--out-dir", str(run)])
+        assert rc == 0
+        bundle = load_checkpoint(run / "checkpoint_final.npz")
+        assert bundle.train_config.hidden_sizes == (8,)
+        assert len(bundle.actors.net.layer_sizes) == len(bundle.critic.layer_sizes) == 3
+
+    @pytest.mark.parametrize("verb", ["evaluate", "simulate", "train", "sweep"])
+    def test_non_checkpoint_file_fails_cleanly(self, tmp_path, capsys, verb):
+        bogus = tmp_path / "notes.txt"
+        bogus.write_text("not a checkpoint\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(tiny_spec_dict([f"mappo:{bogus}"])))
+        args = {
+            "evaluate": ["evaluate", "--checkpoint", str(bogus)],
+            "simulate": ["simulate", "--policy", f"mappo:{bogus}", "--slots", "4"],
+            "train": ["train", "--resume", str(bogus)],
+            "sweep": ["sweep", "--spec", str(spec)],
+        }[verb]
+        assert main([*args, "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"cannot load checkpoint {bogus}" in capsys.readouterr().err

@@ -100,6 +100,10 @@ class TestTrainConfig:
             *[{name: bad} for name in ("learning_rate", "clip_epsilon", "entropy_coef",
                                        "value_coef", "max_grad_norm")
               for bad in (float("nan"), float("inf"))],
+            dict(hidden_sizes=True),
+            dict(hidden_sizes="wide"),
+            dict(hidden_sizes=0),
+            dict(hidden_sizes=[8, False]),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -117,6 +121,17 @@ class TestTrainConfig:
 
     def test_hidden_sizes_normalized(self):
         assert TrainConfig(hidden_sizes=[32, 16]).hidden_sizes == (32, 16)
+
+    def test_scalar_hidden_sizes_is_one_layer(self, tmp_path):
+        (tmp_path / "train.cfg").write_text("hidden_sizes = 64\n")
+        (tmp_path / "train.json").write_text('{"hidden_sizes": 64}')
+        for data in (
+            apply_overrides({}, ["hidden_sizes=64"]),
+            load_config_dict(tmp_path / "train.cfg"),
+            load_config_dict(tmp_path / "train.json"),
+            {"hidden_sizes": 64.0},
+        ):
+            assert train_config_from_dict(data).hidden_sizes == (64,)
 
     def test_as_dict_roundtrip(self):
         cfg = TrainConfig(hidden_sizes=(8,), total_updates=3)

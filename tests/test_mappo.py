@@ -1,5 +1,6 @@
 """Trainer stack tests: GAE, losses, the update, evaluation, checkpoints."""
 
+import csv
 import json
 from dataclasses import replace
 
@@ -550,6 +551,28 @@ class TestCheckpoints:
         with pytest.raises(ConfigError):
             load_checkpoint("/nonexistent/path.npz")
 
+    @pytest.mark.parametrize("kind", ["text", "empty", "npy", "npz-without-meta", "truncated",
+                                      "meta-not-object"])
+    def test_non_checkpoint_file_rejected(self, tmp_path, kind):
+        path = tmp_path / "not_a_checkpoint.npz"
+        if kind == "text":
+            path.write_text("update,surrogate\n1,0.5\n")
+        elif kind == "empty":
+            path.write_bytes(b"")
+        elif kind == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        elif kind == "meta-not-object":
+            np.savez(path, meta=np.frombuffer(b"[1]", dtype=np.uint8))
+        else:
+            np.savez(path, x=np.zeros(3))
+            if kind == "truncated":
+                path.write_bytes(path.read_bytes()[:40])
+        with pytest.raises(ConfigError, match="not_a_checkpoint.npz"):
+            load_checkpoint(path)
+        with pytest.raises(ConfigError, match="not_a_checkpoint.npz"):
+            Trainer.from_checkpoint(path)
+
     def test_optimizer_state_restored(self, tmp_path):
         env_cfg, train_cfg = small_setup()
         trainer = Trainer(env_cfg, train_cfg, seed=37)
@@ -574,6 +597,41 @@ class TestTrainerLoop:
         assert len(lines) == 2
         parsed = json.loads(lines[0])
         assert {"update", "surrogate", "value_loss", "entropy", "clip_fraction"} <= set(parsed)
+
+    @staticmethod
+    def progress_updates(path):
+        return [json.loads(line)["update"] for line in path.read_text().splitlines()]
+
+    def test_fresh_trainer_starts_progress_file(self, tmp_path):
+        env_cfg, train_cfg = small_setup()
+        path = tmp_path / "progress.jsonl"
+        for _ in range(2):
+            Trainer(env_cfg, train_cfg, seed=41).train(progress_path=path)
+        assert self.progress_updates(path) == [1, 2]
+
+    def test_resumed_trainer_appends_to_progress_file(self, tmp_path):
+        env_cfg, train_cfg = small_setup()
+        path = tmp_path / "progress.jsonl"
+        Trainer(env_cfg, train_cfg, seed=41).train(progress_path=path)  # an earlier run
+        Trainer(env_cfg, train_cfg, seed=41, out_dir=tmp_path).train(progress_path=path)
+        resumed = Trainer.from_checkpoint(tmp_path / "checkpoint_final.npz")
+        resumed.train(n_updates=1, progress_path=path)
+        assert self.progress_updates(path) == [1, 2, 3]
+
+    def test_csv_progress_path_gets_csv_records(self, tmp_path):
+        env_cfg, train_cfg = small_setup()
+        path = tmp_path / "progress.csv"
+        Trainer(env_cfg, train_cfg, seed=41).train(progress_path=path)
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == [
+            "update", "surrogate", "value_loss", "entropy", "mean_ratio",
+            "clip_fraction", "first_minibatch_mean_ratio", "aborted_minibatches",
+            "adv_mean", "adv_std", "seconds", "eval_reward_per_slot", "eval_queries_per_slot",
+        ]
+        assert [row[0] for row in rows] == ["1", "2"]
+        # evaluation runs only after the last update here; its cells are empty before
+        assert rows[0][-2:] == ["", ""] and all(cell for cell in rows[1])
 
     def test_non_sharing_trains(self):
         env_cfg, train_cfg = small_setup(sharing=False)
