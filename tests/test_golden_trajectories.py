@@ -20,6 +20,7 @@ import pytest
 from aoidispatch import (
     ActorGroup,
     BaselinePolicy,
+    EnvConfig,
     MappoPolicy,
     TrainConfig,
     parse_policy_spec,
@@ -38,6 +39,12 @@ def _configs():
         "drop_newest": replace(base, drop_newest=True),
         "post_service": replace(base, report_post_service=True),
         "capacities": replace(base, queue_capacity=(1, 2, 3, 4, 5)),
+        # acceptance 2's system: one dispatcher, one capacity-1 server
+        "1x1": EnvConfig(
+            n_dispatchers=1, n_servers=1, arrival_prob=0.8, stay_available=0.95,
+            stay_unavailable=0.50, queue_capacity=1, query_cost=0.0, seed=7,
+        ),
+        "wide": EnvConfig(n_dispatchers=2, n_servers=7, queue_capacity=(1, 2, 3, 4, 5, 6, 7)),
     }
 
 
@@ -123,6 +130,20 @@ GOLDEN = {
     ('capacities', 'mappo-greedy'): 'f97663c290dedeb20013eba466d7688a1e388fd5ebc2e665e9c9f4dfc4fe4ae7',
     ('capacities', 'mappo2-sample'): '551b9f42119919b67f7e1076087c680b3ac287c506968c3c681a01f7309950a8',
     ('capacities', 'mappo2-greedy'): '0b1c61d83fa8cd4b9d3afd074af875d4be5d6a8ed888ac7b8d6d5ccd4f4143e8',
+    ('1x1', 'never'): '61afb6dd68cc8340586eba8a42c57cedfea2fd004911720ee1af32ef8e934d39',
+    ('1x1', 'random:0.5'): '86e35214f9ecd24949b86a2578da54fb6d41b3b15073887571ebae60182cd50c',
+    ('1x1', 'always'): '9d450ba6ca0354a4d0eb5994095c4100a250e0c2c443f34256965c17cd58b149',
+    ('1x1', 'mappo-sample'): '4c4e2eb8b84e20ce17a080e593ae3211c0d159b2e629045072a1f1309e5e5a99',
+    ('1x1', 'mappo-greedy'): '0222a0a24f556cefc593ce8804a77ea8a96217dd63e67ae19a62966ba5a063de',
+    ('1x1', 'mappo2-sample'): '4c4e2eb8b84e20ce17a080e593ae3211c0d159b2e629045072a1f1309e5e5a99',
+    ('1x1', 'mappo2-greedy'): '0222a0a24f556cefc593ce8804a77ea8a96217dd63e67ae19a62966ba5a063de',
+    ('wide', 'never'): 'c6de1878d2cab05ae9f0e8ba912a6f737b73fe29965937e8f07da887bb46c244',
+    ('wide', 'random:0.5'): 'f4ce47b4272410fa3eaf63faafab5b03539a1759c5f53748aa62f6ec51592f2f',
+    ('wide', 'always'): 'c8cf32b5744211e1ff5a6d53bbc4a9ef451baf8aff5bd7374a4c711be261bef4',
+    ('wide', 'mappo-sample'): 'ba4870d8a7927f3d34fea508f8ca56f86e2cb9e501afedb8f64d573c3d8fba1d',
+    ('wide', 'mappo-greedy'): 'f504ebb1038725027eb6e44b77c32cbcedf0bb8370c494b6dfbb71bb3b9f02b3',
+    ('wide', 'mappo2-sample'): 'ba4870d8a7927f3d34fea508f8ca56f86e2cb9e501afedb8f64d573c3d8fba1d',
+    ('wide', 'mappo2-greedy'): 'd120339c7c61af3152b86581cb8e8f9007fea431a7111c3b5c38d50e2148edaa',
 }
 
 
