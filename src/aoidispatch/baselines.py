@@ -10,11 +10,12 @@ slot, so a dispatcher that just paid for fresh state gets to use it).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .env import DispatchEnv, JointAction, Knowledge, QueryResponses, dispatch_targets
+from .env import DispatchEnv, JointAction, Knowledge, QueryResponses
 from .errors import ConfigError
 
 NEVER = "never"
@@ -46,10 +47,18 @@ def baseline_queries(
     kind: BaselineKind, n_dispatchers: int, n_servers: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(n_dispatchers, n_servers) query bits for one slot. Only ``random``
-    draws: one uniform per bit, row-major."""
+    draws: one uniform per bit, row-major. ``never`` and ``always`` return
+    one shared read-only array per shape."""
     if kind.variant == RANDOM:
         return rng.random((n_dispatchers, n_servers)) < kind.p
-    return np.full((n_dispatchers, n_servers), kind.variant == ALWAYS)
+    return _constant_bits(kind.variant == ALWAYS, n_dispatchers, n_servers)
+
+
+@lru_cache(maxsize=None)
+def _constant_bits(value: bool, n_dispatchers: int, n_servers: int) -> np.ndarray:
+    bits = np.full((n_dispatchers, n_servers), value)
+    bits.flags.writeable = False
+    return bits
 
 
 def least_loaded_dispatch(seen_queue, seen_available) -> np.ndarray:
@@ -58,23 +67,29 @@ def least_loaded_dispatch(seen_queue, seen_available) -> np.ndarray:
     Ties prefer believed-available servers, then the lowest index. Pure
     function of its inputs.
     """
-    return np.argmin(2 * np.asarray(seen_queue) - np.asarray(seen_available), axis=-1)
+    return np.argmin(_load(seen_queue, seen_available), axis=-1)
+
+
+def _load(queue, available) -> np.ndarray:
+    """The least-loaded score: twice the queue, minus one if available."""
+    return 2 * np.asarray(queue) - np.asarray(available)
 
 
 def baseline_dispatch(
-    knowledge: Knowledge, responses: QueryResponses, arrivals
+    knowledge: Knowledge, responses: Optional[QueryResponses], arrivals
 ) -> tuple[Optional[int], ...]:
     """Least-loaded target of every dispatcher with an arrival.
 
-    This slot's query ``responses`` overlay the stale ``knowledge`` before
-    the choice (queries return within the slot).
+    This slot's query ``responses`` (None when nothing was queried) overlay
+    the stale ``knowledge`` before the choice (queries return within the
+    slot).
     """
-    asked = responses.queue_length >= 0
-    targets = least_loaded_dispatch(
-        np.where(asked, responses.queue_length, knowledge.seen_queue),
-        np.where(asked, responses.available, knowledge.seen_available),
-    )
-    return dispatch_targets(np.where(arrivals, targets, -1))
+    load = _load(knowledge.seen_queue, knowledge.seen_available)
+    if responses is not None:
+        fresh = _load(responses.queue_length, responses.available)
+        np.copyto(load, fresh, where=responses.queue_length >= 0)
+    targets = load.argmin(axis=-1).tolist()
+    return tuple([t if a else None for t, a in zip(targets, np.asarray(arrivals).tolist())])
 
 
 class BaselinePolicy:
@@ -101,8 +116,8 @@ class BaselinePolicy:
             self._rng = np.random.default_rng(0)
         cfg = env.config
         queries = baseline_queries(self.kind, cfg.n_dispatchers, cfg.n_servers, self._rng)
-        dispatch = baseline_dispatch(env.knowledge, env.process_queries(queries), env.arrivals)
-        return JointAction(queries=queries, dispatch=dispatch)
+        responses = None if self.kind.variant == NEVER else env.process_queries(queries)
+        return JointAction(queries, baseline_dispatch(env.knowledge, responses, env.arrivals))
 
 
 def parse_policy_spec(spec: str) -> BaselineKind | str:

@@ -30,7 +30,7 @@ from .config import (
 )
 from .env import DispatchEnv
 from .errors import ConfigError
-from .mappo import Trainer, evaluate, load_policy
+from .mappo import Trainer, check_checkpoint_dimensions, evaluate, load_policy
 from .records import FORMATS, write_records
 from .selftest import run_all
 from .sweep import SweepSpec, run_sweep
@@ -48,14 +48,7 @@ def _resolve_policy(spec: str, env_config: EnvConfig):
     if parsed == "train":
         raise ConfigError("mappo:train is only valid inside a sweep; pass a checkpoint path")
     policy, trained_on = load_policy(parsed)
-    if (
-        trained_on.n_dispatchers != env_config.n_dispatchers
-        or trained_on.n_servers != env_config.n_servers
-    ):
-        raise ConfigError(
-            f"checkpoint {parsed} was trained for {trained_on.n_dispatchers} dispatchers / "
-            f"{trained_on.n_servers} servers, not {env_config.n_dispatchers}/{env_config.n_servers}"
-        )
+    check_checkpoint_dimensions(parsed, trained_on, env_config)
     return policy
 
 
@@ -166,11 +159,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if data:
         # user keys overlay the env config stored in the checkpoint
         env_config = env_config_from_dict({**config_as_dict(trained_on), **data})
-        if (
-            env_config.n_dispatchers != trained_on.n_dispatchers
-            or env_config.n_servers != trained_on.n_servers
-        ):
-            raise ConfigError("evaluation config dimensions do not match the checkpoint")
+        check_checkpoint_dimensions(args.checkpoint, trained_on, env_config)
     else:
         env_config = trained_on
     seed = args.seed if args.seed is not None else 0

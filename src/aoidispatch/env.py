@@ -19,8 +19,11 @@ Every slot advances through a fixed phase order:
 8. the slot counter advances.
 
 The world of one environment is a struct of numpy arrays (see
-:class:`WorldState`), advanced by one free function per phase; the seeded
-:class:`DispatchEnv` runs them in order.
+:class:`WorldState`). :meth:`DispatchEnv.step` runs all phases in one pass:
+it checks the whole action first, reads the queue arrays once into Python
+ints and writes back only the entries that move. Per slot it allocates one
+new knowledge array, one mask of the entries heard from, and one array for
+the next availabilities and arrivals.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ from .errors import ConfigError, ContractViolation
 # one ACK or NAK: (dispatcher the job belongs to, server, job id)
 Event = tuple[int, int, int]
 
+# added to the knowledge planes each slot: every age grows by one
+_AGE_STEP = np.array([0, 0, 1]).reshape(3, 1, 1)
+
 
 @dataclass(frozen=True)
 class Job:
@@ -48,13 +54,18 @@ class Knowledge(NamedTuple):
     ``(n_dispatchers, n_servers)`` arrays.
 
     ``aoi[n, k]`` is the number of slots since dispatcher ``n`` last heard
-    from server ``k`` (always >= 1); ``seen_available`` / ``seen_queue`` are
-    the values reported back then.
+    from server ``k`` (always >= 1); ``seen_available`` (0/1) /
+    ``seen_queue`` are the values reported back then.
     """
 
     seen_available: np.ndarray
     seen_queue: np.ndarray
     aoi: np.ndarray
+
+
+def _knowledge(planes: np.ndarray) -> Knowledge:
+    """Views of one (3, N, K) knowledge array (see :attr:`WorldState.planes`)."""
+    return Knowledge(planes[0], planes[1], planes[2])
 
 
 @dataclass
@@ -67,7 +78,8 @@ class KnowledgeSnapshot:
 
     @classmethod
     def of(cls, knowledge: Knowledge, dispatcher: int) -> "KnowledgeSnapshot":
-        return cls(*(field[dispatcher].tolist() for field in knowledge))
+        available, queue, aoi = (field[dispatcher] for field in knowledge)
+        return cls(available.astype(bool).tolist(), queue.tolist(), aoi.tolist())
 
 
 @dataclass
@@ -93,29 +105,28 @@ class QueryResponses(NamedTuple):
     queue_length: np.ndarray
 
 
-@dataclass(frozen=True)
 class JointAction:
     """Per-dispatcher query bits plus an optional dispatch target.
 
     ``queries`` is given as ``(n_dispatchers, n_servers)`` array-like bits
-    and kept as a bool array. ``dispatch[n]`` must be a server index exactly
-    when a job arrived at dispatcher ``n`` this slot (dispatch on arrival is
-    mandatory) and None otherwise.
+    and kept as a bool array. ``dispatch[n]`` must be an integer server
+    index exactly when a job arrived at dispatcher ``n`` this slot (dispatch
+    on arrival is mandatory) and None otherwise.
     """
 
-    queries: np.ndarray
-    dispatch: tuple[Optional[int], ...]
+    __slots__ = ("queries", "dispatch")
 
-    def __post_init__(self) -> None:
+    def __init__(self, queries, dispatch: Sequence[Optional[int]]):
         try:
-            object.__setattr__(self, "queries", np.asarray(self.queries, dtype=bool))
+            self.queries = np.asarray(queries, dtype=bool)
         except (TypeError, ValueError) as exc:
             raise ContractViolation("query rows must all have the same number of entries") from exc
+        self.dispatch = dispatch
 
 
 def dispatch_targets(dispatch: np.ndarray) -> tuple[Optional[int], ...]:
     """:attr:`JointAction.dispatch` from an int array with -1 for "no job"."""
-    return tuple(None if d < 0 else d for d in dispatch.tolist())
+    return tuple([None if d < 0 else d for d in dispatch.tolist()])
 
 
 @dataclass
@@ -125,8 +136,9 @@ class WorldState:
     Queue ``k`` is a ring buffer: its jobs sit at positions ``head[k]``,
     ``head[k] + 1``, ... (mod ``queue_capacity[k]``) of row ``k`` of
     ``owner`` (dispatcher the job belongs to) and ``job`` (job id), oldest
-    first, ``length[k]`` of them. ``knowledge`` arrays are replaced, never
-    written, by each step.
+    first, ``length[k]`` of them. ``planes`` holds the three
+    :class:`Knowledge` arrays in one read-only array, which each step
+    replaces, never writes.
     """
 
     slot: int
@@ -135,15 +147,19 @@ class WorldState:
     job: np.ndarray  # (K, C) int64
     head: np.ndarray  # (K,) int64
     length: np.ndarray  # (K,) int64
-    knowledge: Knowledge  # (N, K) each
+    planes: np.ndarray  # (3, N, K) int64: seen_available, seen_queue, aoi
     arrivals: np.ndarray  # (N,) bool
     next_job_id: int = 0
 
+    @property
+    def knowledge(self) -> Knowledge:
+        return _knowledge(self.planes)
 
-@dataclass
+
+@dataclass(slots=True)
 class StepOutcome:
-    """What one slot did. ``feedback`` and ``observations`` are built from
-    the step's end state when read."""
+    """What one slot did. ``knowledge``, ``feedback`` and ``observations``
+    are built from the step's end state when read."""
 
     rewards: tuple[float, ...]
     team_reward: float
@@ -151,22 +167,25 @@ class StepOutcome:
     drops: tuple[int, ...]
     queries_issued: tuple[int, ...]
     arrivals: tuple[bool, ...]
-    knowledge: Knowledge  # end-of-step knowledge
+    planes: np.ndarray  # end-of-step knowledge, see WorldState.planes
     naks: list[Event]
     acks: list[Event]
-    reported_available: np.ndarray  # (K,) status payload of this slot's feedback
-    reported_queue: np.ndarray  # (K,)
+    reported_available: list[bool]  # (K,) status payload of this slot's feedback
+    reported_queue: list[int]  # (K,)
+
+    @property
+    def knowledge(self) -> Knowledge:
+        return _knowledge(self.planes)
 
     @property
     def observations(self) -> tuple[KnowledgeSnapshot, ...]:
-        return tuple(
-            KnowledgeSnapshot.of(self.knowledge, n) for n in range(len(self.knowledge.aoi))
-        )
+        knowledge = self.knowledge
+        return tuple(KnowledgeSnapshot.of(knowledge, n) for n in range(len(knowledge.aoi)))
 
     @property
     def feedback(self) -> tuple[FeedbackEvent, ...]:
         """NAKs in dispatch order, then ACKs in server order."""
-        available, queue = self.reported_available.tolist(), self.reported_queue.tolist()
+        available, queue = self.reported_available, self.reported_queue
         return tuple(
             FeedbackEvent(owner, server, Job(job, owner), accepted, available[server], queue[server])
             for events, accepted in ((self.naks, False), (self.acks, True))
@@ -187,12 +206,6 @@ def stationary_distribution(stay_available: float, stay_unavailable: float) -> t
     return p_available, 1.0 - p_available
 
 
-def _read_only(knowledge: Knowledge) -> Knowledge:
-    for a in knowledge:
-        a.setflags(write=False)
-    return knowledge
-
-
 def init_world(config: EnvConfig, rng: np.random.Generator) -> WorldState:
     """Fresh world: availabilities drawn from their stationary laws, queues
     empty, and every dispatcher optimistically believing all servers are
@@ -205,9 +218,9 @@ def init_world(config: EnvConfig, rng: np.random.Generator) -> WorldState:
         for phi, psi in zip(config.stay_available, config.stay_unavailable)
     ]
     available = rng.random(k) < p_available
-    knowledge = _read_only(Knowledge(
-        np.ones((n, k), dtype=bool), np.zeros((n, k), dtype=np.int64), np.ones((n, k), dtype=np.int64)
-    ))
+    planes = np.zeros((3, n, k), dtype=np.int64)
+    planes[0] = planes[2] = 1
+    planes.setflags(write=False)
     slots = max(config.queue_capacity)
     return WorldState(
         slot=0,
@@ -216,129 +229,8 @@ def init_world(config: EnvConfig, rng: np.random.Generator) -> WorldState:
         job=np.zeros((k, slots), dtype=np.int64),
         head=np.zeros(k, dtype=np.int64),
         length=np.zeros(k, dtype=np.int64),
-        knowledge=knowledge,
+        planes=planes,
         arrivals=rng.random(n) < config.arrival_prob,
-    )
-
-
-def transition_availability(
-    available: np.ndarray, stay_available: Sequence[float], stay_unavailable: Sequence[float],
-    uniforms: Sequence[float],
-) -> np.ndarray:
-    """Next availability of each server from one uniform draw per server."""
-    # a comprehension beats three numpy calls on a handful of servers
-    return np.array([
-        u < phi if up else u >= psi
-        for u, up, phi, psi in zip(uniforms, available.tolist(), stay_available, stay_unavailable)
-    ])
-
-
-def process_queries(world: WorldState, queries) -> QueryResponses:
-    """Answer every set query bit with the server's current availability and
-    queue length. Pure read; call before any same-slot mutation so responses
-    carry slot-start values."""
-    queries = np.asarray(queries, dtype=bool)
-    if queries.shape != world.knowledge.aoi.shape:
-        raise ContractViolation(f"query bits must have shape {world.knowledge.aoi.shape}, got {queries.shape}")
-    return QueryResponses(queries & world.available, np.where(queries, world.length, -1))
-
-
-def apply_dispatches(
-    world: WorldState, config: EnvConfig, dispatch: Sequence[Optional[int]]
-) -> list[Event]:
-    """Append dispatched jobs in ascending dispatcher order.
-
-    An append that would exceed the capacity evicts the queue head and NAKs
-    the evicted job's owner (or, with ``drop_newest``, rejects the incoming
-    job and NAKs the dispatcher). Returns the NAKs in emission order. The
-    dispatch is checked against the arrivals before anything moves.
-    """
-    arrived = world.arrivals.tolist()
-    if [target is not None for target in dispatch] != arrived:
-        n = next(n for n, target in enumerate(dispatch) if (target is not None) != arrived[n])
-        raise ContractViolation(f"dispatcher {n} " + (
-            "has an arrival this slot and must dispatch" if arrived[n] else "dispatched without an arrival"
-        ))
-    for target in dispatch:
-        if target is not None and not 0 <= target < config.n_servers:
-            raise ContractViolation(f"dispatch target {target} out of range")
-    capacity, head, length = config.queue_capacity, world.head, world.length
-    owner, job = world.owner, world.job
-    naks: list[Event] = []
-    for n, target in enumerate(dispatch):
-        if target is None:
-            continue
-        job_id = world.next_job_id
-        world.next_job_id += 1
-        cap, h, size = capacity[target], int(head[target]), int(length[target])
-        if size >= cap:
-            if config.drop_newest:
-                naks.append((n, target, job_id))
-                continue
-            naks.append((int(owner[target, h]), target, int(job[target, h])))
-            h = head[target] = (h + 1) % cap
-            size -= 1
-        tail = (h + size) % cap
-        owner[target, tail] = n
-        job[target, tail] = job_id
-        length[target] = size + 1
-    return naks
-
-
-def serve(world: WorldState, config: EnvConfig) -> list[Event]:
-    """Complete the head job of every available server with a nonempty
-    queue; returns the ACKs in server order."""
-    acks: list[Event] = []
-    for k, (available, size) in enumerate(zip(world.available.tolist(), world.length.tolist())):
-        if available and size:
-            h = int(world.head[k])
-            acks.append((int(world.owner[k, h]), k, int(world.job[k, h])))
-            world.head[k] = (h + 1) % config.queue_capacity[k]
-            world.length[k] = size - 1
-    return acks
-
-
-def compute_rewards(
-    naks: Sequence[Event], acks: Sequence[Event], queries, query_cost: float, n_dispatchers: int
-) -> tuple[list[float], list[int], list[int], list[int]]:
-    """Per-dispatcher reward: completions minus query_cost per issued query.
-
-    Returns (rewards, completions, drops, query counts).
-    """
-    completions = [0] * n_dispatchers
-    drops = [0] * n_dispatchers
-    for owner, _, _ in acks:
-        completions[owner] += 1
-    for owner, _, _ in naks:
-        drops[owner] += 1
-    query_counts = [row.count(True) for row in np.asarray(queries).tolist()]
-    rewards = [c - query_cost * q for c, q in zip(completions, query_counts)]
-    return rewards, completions, drops, query_counts
-
-
-def update_knowledge(
-    world: WorldState, queries: np.ndarray, events: Sequence[Event],
-    available: np.ndarray, queue: np.ndarray, reported_queue: np.ndarray,
-) -> None:
-    """End-of-slot knowledge update.
-
-    Any query or feedback from server k resets dispatcher n's age for k to 1
-    and overwrites the seen values with the slot-start ``available`` and,
-    for a query, the slot-start ``queue``, for feedback ``reported_queue``;
-    otherwise the age grows by one. A query response wins over feedback
-    arriving in the same slot (it is an explicit, paid update).
-    """
-    heard = queries.copy()
-    for owner, server, _ in events:
-        heard[owner, server] = True
-    old = world.knowledge
-    seen_queue = np.where(heard, reported_queue, old.seen_queue)
-    if reported_queue is not queue:
-        seen_queue = np.where(queries, queue, seen_queue)
-    aoi = old.aoi + 1
-    aoi[heard] = 1
-    world.knowledge = _read_only(
-        Knowledge(np.where(heard, available, old.seen_available), seen_queue, aoi)
     )
 
 
@@ -352,7 +244,19 @@ class DispatchEnv:
 
     def __init__(self, config: EnvConfig):
         self.config = config
-        self._arrival_prob = np.array(config.arrival_prob)
+        self._shape = (config.n_dispatchers, config.n_servers)
+        # the per-server values knowledge takes where a dispatcher heard from
+        # a server this slot: slot-start availability, reported queue, age 1
+        self._fresh = np.ones((3, 1, config.n_servers), dtype=np.int64)
+        # thresholds of the draw phase, servers then dispatchers: a draw below
+        # the first keeps an available server available and brings a job to a
+        # dispatcher; a draw at or above the second makes an unavailable
+        # server available
+        self._thresholds = (
+            config.stay_available + config.arrival_prob,
+            config.stay_unavailable + (0.0,) * config.n_dispatchers,
+        )
+        self._dispatchers_up = [True] * config.n_dispatchers  # dispatchers take the first
         self._rng = np.random.default_rng(config.seed)
         self.world = init_world(config, self._rng)
 
@@ -366,38 +270,128 @@ class DispatchEnv:
         return self.world.knowledge
 
     def step(self, action: JointAction) -> StepOutcome:
-        """Advance the world one slot through the fixed phase order."""
+        """Advance the world one slot through the fixed phase order.
+
+        The whole action is checked before anything moves. Dispatches are
+        appended in ascending dispatcher order: an append that would exceed
+        the capacity evicts the queue head and NAKs the evicted job's owner
+        (or, with ``drop_newest``, rejects the incoming job and NAKs the
+        dispatcher). Then every available server with a nonempty queue
+        completes its head job (ACK). Any query or feedback from server k
+        resets dispatcher n's age for k to 1 and overwrites the seen values
+        with the slot-start availability and, for a query, the slot-start
+        queue, for feedback the reported one; a query wins over feedback in
+        the same slot. Otherwise the age grows by one.
+        """
         world, cfg = self.world, self.config
-        queries = action.queries
-        if queries.shape != (cfg.n_dispatchers, cfg.n_servers) or len(action.dispatch) != cfg.n_dispatchers:
+        queries, dispatch = action.queries, action.dispatch
+        n_dispatchers, n_servers = self._shape
+        if queries.shape != self._shape or len(dispatch) != n_dispatchers:
             raise ContractViolation(
-                f"joint action must cover {cfg.n_dispatchers} dispatchers x {cfg.n_servers} servers, "
-                f"got query bits of shape {queries.shape} and {len(action.dispatch)} dispatch entries"
+                f"joint action must cover {n_dispatchers} dispatchers x {n_servers} servers, "
+                f"got query bits of shape {queries.shape} and {len(dispatch)} dispatch entries"
             )
-        available, queue = world.available, world.length.copy()
+        arrived = world.arrivals.tolist()
+        moves: list[tuple[int, int]] = []  # (dispatcher, server), ascending dispatcher
+        for n, target in enumerate(dispatch):
+            if (target is not None) != arrived[n]:
+                raise ContractViolation(f"dispatcher {n} " + (
+                    "has an arrival this slot and must dispatch" if arrived[n]
+                    else "dispatched without an arrival"
+                ))
+            if target is None:
+                continue
+            if type(target) is not int:
+                if isinstance(target, (bool, np.bool_)) or not isinstance(target, (int, np.integer)):
+                    raise ContractViolation(f"dispatch target {target!r} is not an integer")
+                target = int(target)
+            if not 0 <= target < n_servers:
+                raise ContractViolation(f"dispatch target {target} out of range")
+            moves.append((n, target))
 
-        naks = apply_dispatches(world, cfg, action.dispatch)
-        acks = serve(world, cfg)
-        reported = world.length.copy() if cfg.report_post_service else queue
+        # phase 1: slot-start values, for queries and feedback payloads
+        available, length_arr, head_arr = world.available, world.length, world.head
+        fresh = self._fresh
+        fresh[0, 0] = available
+        fresh[1, 0] = length_arr
+        up = available.tolist()
+        queue = length_arr.tolist()
+        length, head = queue.copy(), head_arr.tolist()
+        capacity, owner, job = cfg.queue_capacity, world.owner, world.job
+        completions = [0] * n_dispatchers
+        drops = [0] * n_dispatchers
 
-        rewards, completions, drops, query_counts = compute_rewards(
-            naks, acks, queries, cfg.query_cost, cfg.n_dispatchers
-        )
-        update_knowledge(world, queries, naks + acks, available, queue, reported)
+        # phase 2: dispatch
+        naks: list[Event] = []
+        job_id = world.next_job_id
+        for n, target in moves:
+            cap, h, size = capacity[target], head[target], length[target]
+            if size >= cap:
+                if cfg.drop_newest:
+                    naks.append((n, target, job_id))
+                    drops[n] += 1
+                    job_id += 1
+                    continue
+                evicted = owner.item(target, h)
+                naks.append((evicted, target, job.item(target, h)))
+                drops[evicted] += 1
+                h = head[target] = head_arr[target] = (h + 1) % cap
+                size -= 1
+            tail = (h + size) % cap
+            owner[target, tail] = n
+            job[target, tail] = job_id
+            job_id += 1
+            length[target] = length_arr[target] = size + 1
+        world.next_job_id = job_id
 
-        # one draw per server, then one per dispatcher, in that order
-        u = self._rng.random(cfg.n_servers + cfg.n_dispatchers)
-        world.available = transition_availability(
-            available, cfg.stay_available, cfg.stay_unavailable, u[: cfg.n_servers].tolist()
-        )
-        world.arrivals = u[cfg.n_servers :] < self._arrival_prob
+        # phase 3: service
+        acks: list[Event] = []
+        for k, size in enumerate(length):
+            if size and up[k]:
+                h = head[k]
+                done = owner.item(k, h)
+                acks.append((done, k, job.item(k, h)))
+                completions[done] += 1
+                head_arr[k] = (h + 1) % capacity[k]
+                length_arr[k] = size - 1
+        if cfg.report_post_service:
+            reported = length_arr.tolist()
+            fresh[1, 0] = length_arr
+        else:
+            reported = queue
+
+        # phase 4: rewards
+        query_counts = [row.count(True) for row in queries.tolist()]
+        rewards = [c - cfg.query_cost * q for c, q in zip(completions, query_counts)]
+
+        # phase 5: knowledge; feedback first, then queries, which win
+        planes = world.planes + _AGE_STEP
+        heard = queries.copy()
+        for owner_n, server, _ in naks:
+            heard[owner_n, server] = True
+        for owner_n, server, _ in acks:
+            heard[owner_n, server] = True
+        np.copyto(planes, fresh, where=heard)
+        if reported is not queue:
+            np.copyto(planes[1], queue, where=queries)
+        planes.setflags(write=False)
+        world.planes = planes
+
+        # phases 6 and 7: one draw per server, then one per dispatcher
+        u = self._rng.random(n_servers + n_dispatchers).tolist()
+        below, at_or_above = self._thresholds
+        drawn = [
+            x < b if a else x >= c
+            for x, a, b, c in zip(u, up + self._dispatchers_up, below, at_or_above)
+        ]
+        arrivals = drawn[n_servers:]
+        drawn = np.array(drawn)
+        world.available, world.arrivals = drawn[:n_servers], drawn[n_servers:]
         world.slot += 1
 
         return StepOutcome(
-            rewards=tuple(rewards), team_reward=sum(rewards), completions=tuple(completions),
-            drops=tuple(drops), queries_issued=tuple(query_counts),
-            arrivals=tuple(world.arrivals.tolist()), knowledge=world.knowledge,
-            naks=naks, acks=acks, reported_available=available, reported_queue=reported,
+            tuple(rewards), sum(rewards), tuple(completions), tuple(drops), tuple(query_counts),
+            tuple(arrivals), planes, naks, acks, up, reported,
         )
 
     @property
@@ -413,7 +407,14 @@ class DispatchEnv:
         return KnowledgeSnapshot.of(self.world.knowledge, dispatcher)
 
     def process_queries(self, queries) -> QueryResponses:
-        return process_queries(self.world, queries)
+        """Answer every set query bit with the server's current availability
+        and queue length. Pure read; call before :meth:`step` so responses
+        carry slot-start values."""
+        queries = np.asarray(queries, dtype=bool)
+        if queries.shape != self._shape:
+            raise ContractViolation(f"query bits must have shape {self._shape}, got {queries.shape}")
+        world = self.world
+        return QueryResponses(queries & world.available, np.where(queries, world.length, -1))
 
     @property
     def slot(self) -> int:

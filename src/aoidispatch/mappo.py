@@ -673,8 +673,8 @@ def evaluate(policy, env_config: EnvConfig, episodes: int, seed: int) -> EvalSta
         acks = naks = queries = 0
         for _ in range(env_config.horizon):
             outcome = env.step(policy.act(env))
-            acks += sum(outcome.completions)
-            naks += sum(outcome.drops)
+            acks += len(outcome.acks)
+            naks += len(outcome.naks)
             queries += sum(outcome.queries_issued)
         total_acks += acks
         total_naks += naks
@@ -810,6 +810,17 @@ def load_policy(path: str | Path, greedy: bool = False) -> tuple[MappoPolicy, En
         two_phase=bundle.train_config.two_phase_policy,
     )
     return policy, bundle.env_config
+
+
+def check_checkpoint_dimensions(checkpoint, trained_on: EnvConfig, requested: EnvConfig) -> None:
+    """Reject ``requested`` unless it has the dispatcher and server counts of
+    ``trained_on``, the env config stored in ``checkpoint``."""
+    if (requested.n_dispatchers, requested.n_servers) != (trained_on.n_dispatchers, trained_on.n_servers):
+        raise ConfigError(
+            f"checkpoint {checkpoint} was trained for {trained_on.n_dispatchers} dispatchers x "
+            f"{trained_on.n_servers} servers, not the requested "
+            f"{requested.n_dispatchers} x {requested.n_servers}"
+        )
 
 
 # ---------------------------------------------------------------------------

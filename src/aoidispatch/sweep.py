@@ -31,7 +31,7 @@ from .config import (
 )
 from .env import DispatchEnv
 from .errors import AccountingError, ConfigError
-from .mappo import Trainer, _derived_seed, evaluate, load_policy
+from .mappo import Trainer, _derived_seed, check_checkpoint_dimensions, evaluate, load_policy
 from .nn import pin_one_blas_thread
 from .records import RecordWriter, check_format, write_records
 
@@ -121,6 +121,9 @@ class SweepSpec:
         for key in ("values", "policies", "seeds"):  # a string would be read per character
             if key in data and not isinstance(data[key], (list, tuple)):
                 raise ConfigError(f"sweep {key!r} must be an array, got {data[key]!r}")
+        for spec in data.get("policies", ()):
+            if not isinstance(spec, str):
+                raise ConfigError(f"sweep 'policies' entries must be strings, got {spec!r}")
         try:
             swept = data["swept_parameter"]
             values = list(data["values"])
@@ -170,15 +173,7 @@ class SweepSpec:
             if isinstance(parsed, str) and parsed != "train":
                 _, trained_on = load_policy(parsed)
                 for cfg in cells:
-                    if (
-                        cfg.n_dispatchers != trained_on.n_dispatchers
-                        or cfg.n_servers != trained_on.n_servers
-                    ):
-                        raise ConfigError(
-                            f"checkpoint {parsed} was trained for "
-                            f"{trained_on.n_dispatchers}x{trained_on.n_servers} but the sweep "
-                            f"needs {cfg.n_dispatchers}x{cfg.n_servers}"
-                        )
+                    check_checkpoint_dimensions(parsed, trained_on, cfg)
         return cells
 
 

@@ -278,6 +278,7 @@ BAD_SPEC_SECTIONS = [
     {"seeds": 3},
     {"policies": "never"},
     {"values": "0.1"},
+    {"policies": [1]},
 ]
 
 
@@ -653,6 +654,34 @@ class TestCliVerbs:
         bundle = load_checkpoint(run / "checkpoint_final.npz")
         assert bundle.train_config.hidden_sizes == (8,)
         assert len(bundle.actors.net.layer_sizes) == len(bundle.critic.layer_sizes) == 3
+
+    def test_non_string_sweep_policy_fails_cleanly(self, tmp_path, capsys):
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps({**tiny_spec_dict(["never"]), "policies": ["never", 1]}))
+        rc = main(["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "'policies'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["simulate", "evaluate", "sweep"])
+    def test_checkpoint_dimension_mismatch_fails_cleanly(self, tmp_path, capsys, verb):
+        trainer = Trainer(EnvConfig(**tiny_env_kwargs()), TrainConfig(hidden_sizes=(8,)), seed=0)
+        ckpt = trainer.save(tmp_path / "ckpt.npz")
+        capsys.readouterr()
+        spec = tmp_path / "spec.json"
+        three_servers = tiny_env_kwargs(n_servers=3, stay_available=0.9, stay_unavailable=0.5)
+        spec.write_text(json.dumps({**tiny_spec_dict([f"mappo:{ckpt}"]), "env": three_servers}))
+        sets = [arg for key in ("n_dispatchers", "n_servers", "stay_available", "stay_unavailable",
+                                "queue_capacity")
+                for arg in ("--set", f"{key}={three_servers[key]}")]
+        args = {
+            "simulate": ["simulate", "--policy", f"mappo:{ckpt}", "--slots", "4", *sets],
+            "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--episodes", "1", *sets],
+            "sweep": ["sweep", "--spec", str(spec)],
+        }[verb]
+        assert main([*args, "--out-dir", str(tmp_path / "out")]) == 2
+        assert (f"checkpoint {ckpt} was trained for 2 dispatchers x 2 servers, "
+                "not the requested 2 x 3") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb", ["evaluate", "simulate", "train", "sweep"])
     def test_non_checkpoint_file_fails_cleanly(self, tmp_path, capsys, verb):

@@ -10,13 +10,8 @@ from aoidispatch.env import (
     DispatchEnv,
     JointAction,
     KnowledgeSnapshot,
-    apply_dispatches,
-    compute_rewards,
     init_world,
-    process_queries,
-    serve,
     stationary_distribution,
-    transition_availability,
 )
 
 
@@ -97,33 +92,51 @@ class TestInitWorld:
 
 class TestTransitionAvailability:
     @staticmethod
-    def step_one(available: bool, phi: float, psi: float, rng) -> bool:
-        return bool(transition_availability(np.array([available]), (phi,), (psi,), [rng.random()])[0])
+    def chain(phi: float, psi: float, seed: int) -> DispatchEnv:
+        """One server with these stay probabilities and no arrivals."""
+        return DispatchEnv(EnvConfig(n_dispatchers=1, n_servers=1, arrival_prob=0.0,
+                                     stay_available=phi, stay_unavailable=psi, seed=seed))
+
+    @staticmethod
+    def step_one(available: bool, env: DispatchEnv) -> bool:
+        """The server's availability one slot after starting from ``available``."""
+        env.world.available[0] = available
+        env.step(JointAction(((False,),), (None,)))
+        return bool(env.world.available[0])
 
     def test_absorbing_limit(self):
-        rng = np.random.default_rng(0)
+        env = self.chain(1.0, 0.5, seed=0)
         assert all(
-            self.step_one(True, 1.0, 0.5, rng) for _ in range(100)
+            self.step_one(True, env) for _ in range(100)
         )
 
     def test_stay_available_frequency(self):
-        rng = np.random.default_rng(11)
+        env = self.chain(0.95, 0.5, seed=11)
         n = 100_000
-        stays = sum(self.step_one(True, 0.95, 0.5, rng) for _ in range(n))
+        stays = sum(self.step_one(True, env) for _ in range(n))
         assert stays / n == pytest.approx(0.95, abs=0.01)
 
     def test_long_run_availability_fraction(self):
         # oracle: stationary availability of (0.95, 0.50) is 10/11
-        rng = np.random.default_rng(5)
+        env = self.chain(0.95, 0.50, seed=5)
         state, hits, n = True, 0, 100_000
         for _ in range(n):
-            state = self.step_one(state, 0.95, 0.50, rng)
+            state = self.step_one(state, env)
             hits += state
         assert hits / n == pytest.approx(10 / 11, abs=0.01)
 
 
-def make_world(cfg: EnvConfig, seed: int = 0):
-    return init_world(cfg, np.random.default_rng(seed))
+def make_env(cfg: EnvConfig, arrivals, available) -> DispatchEnv:
+    """An env whose current slot has these arrivals and server availabilities."""
+    env = DispatchEnv(cfg)
+    env.world.arrivals = np.array(arrivals)
+    env.world.available = np.array(available)
+    return env
+
+
+def idle(cfg: EnvConfig) -> JointAction:
+    """No queries and no dispatches."""
+    return JointAction([[False] * cfg.n_servers] * cfg.n_dispatchers, [None] * cfg.n_dispatchers)
 
 
 def fill_queue(world, server: int, owners, start_id: int = 100):
@@ -156,21 +169,23 @@ class TestApplyDispatches:
         assert events[0].job.id == 100
         assert events[0].reported_queue == 3
 
+    # servers are unavailable below so that only the dispatch moves the queues
+
     def test_append_to_empty_queue(self):
         cfg = EnvConfig(n_dispatchers=1, n_servers=2, queue_capacity=3, arrival_prob=1.0)
-        world = make_world(cfg)
-        world.arrivals = np.array([True])
-        events = apply_dispatches(world, cfg, [1])
+        env = make_env(cfg, arrivals=[True], available=[False, False])
+        world = env.world
+        events = env.step(JointAction(((False, False),), [1])).naks
         assert events == []
         assert world.length[1] == 1
         assert world.length[0] == 0
 
     def test_two_dispatchers_same_server_in_index_order(self):
         cfg = EnvConfig(n_dispatchers=2, n_servers=1, queue_capacity=3, arrival_prob=1.0)
-        world = make_world(cfg)
+        env = make_env(cfg, arrivals=[True, True], available=[False])
+        world = env.world
         fill_queue(world, 0, owners=[0, 1])  # length 2 of capacity 3
-        world.arrivals = np.array([True, True])
-        events = apply_dispatches(world, cfg, [0, 0])
+        events = env.step(JointAction(((False,), (False,)), [0, 0])).naks
         # dispatcher 0 appends cleanly; dispatcher 1 overflows, evicting j100
         assert world.length[0] == 3
         assert len(events) == 1
@@ -183,10 +198,10 @@ class TestApplyDispatches:
         cfg = EnvConfig(
             n_dispatchers=1, n_servers=1, queue_capacity=2, arrival_prob=1.0, drop_newest=True
         )
-        world = make_world(cfg)
+        env = make_env(cfg, arrivals=[True], available=[False])
+        world = env.world
         fill_queue(world, 0, owners=[0, 0])
-        world.arrivals = np.array([True])
-        events = apply_dispatches(world, cfg, [0])  # every returned event is a NAK
+        events = env.step(JointAction(((False,),), [0])).naks
         assert queue_ids(world, cfg, 0) == [100, 101]
         assert len(events) == 1
         dispatcher, _, job_id = events[0]
@@ -195,33 +210,32 @@ class TestApplyDispatches:
 
     def test_dispatch_without_arrival_is_a_contract_violation(self):
         cfg = EnvConfig(n_dispatchers=1, n_servers=1, arrival_prob=0.5)
-        world = make_world(cfg)
-        world.arrivals = np.array([False])
+        env = make_env(cfg, arrivals=[False], available=[False])
         with pytest.raises(ContractViolation):
-            apply_dispatches(world, cfg, [0])
+            env.step(JointAction(((False,),), [0]))
 
     def test_arrival_without_dispatch_is_a_contract_violation(self):
         cfg = EnvConfig(n_dispatchers=1, n_servers=1, arrival_prob=1.0)
-        world = make_world(cfg)
-        world.arrivals = np.array([True])
+        env = make_env(cfg, arrivals=[True], available=[False])
         with pytest.raises(ContractViolation):
-            apply_dispatches(world, cfg, [None])
+            env.step(JointAction(((False,),), [None]))
 
     def test_bad_target_rejected(self):
         cfg = EnvConfig(n_dispatchers=1, n_servers=2, arrival_prob=1.0)
-        world = make_world(cfg)
-        world.arrivals = np.array([True])
+        env = make_env(cfg, arrivals=[True], available=[False, False])
         with pytest.raises(ContractViolation):
-            apply_dispatches(world, cfg, [5])
+            env.step(JointAction(((False, False),), [5]))
 
 
 class TestServe:
+    # no arrivals below, so only service moves the queues
+
     def test_available_server_completes_head(self):
         cfg = EnvConfig(n_dispatchers=2, n_servers=1)
-        world = make_world(cfg)
-        world.available[0] = True
+        env = make_env(cfg, arrivals=[False, False], available=[True])
+        world = env.world
         fill_queue(world, 0, owners=[1, 0])
-        events = serve(world, cfg)  # every returned event is an ACK
+        events = env.step(idle(cfg)).acks
         assert len(events) == 1
         dispatcher, _, job_id = events[0]
         assert dispatcher == 1 and job_id == 100
@@ -229,10 +243,10 @@ class TestServe:
 
     def test_unavailable_server_does_nothing(self):
         cfg = EnvConfig(n_dispatchers=1, n_servers=1)
-        world = make_world(cfg)
-        world.available[0] = False
+        env = make_env(cfg, arrivals=[False], available=[False])
+        world = env.world
         fill_queue(world, 0, owners=[0])
-        assert serve(world, cfg) == []
+        assert env.step(idle(cfg)).acks == []
         assert world.length[0] == 1
 
     def test_same_slot_dispatch_then_serve(self):
@@ -249,17 +263,18 @@ class TestServe:
 class TestProcessQueries:
     def test_no_queries_no_responses(self):
         cfg = EnvConfig(n_dispatchers=2, n_servers=3)
-        world = make_world(cfg)
-        responses = process_queries(world, [[False] * 3] * 2)
+        env = DispatchEnv(cfg)
+        responses = env.process_queries([[False] * 3] * 2)
         assert not (responses.queue_length >= 0).any()
 
     def test_response_passes_through_state(self):
         cfg = EnvConfig(n_dispatchers=2, n_servers=4)
-        world = make_world(cfg)
+        env = DispatchEnv(cfg)
+        world = env.world
         world.available[3] = False
         fill_queue(world, 3, owners=[0, 1])
         queries = [[False] * 4, [False, False, False, True]]
-        responses = process_queries(world, queries)
+        responses = env.process_queries(queries)
         (answered,) = np.argwhere(responses.queue_length >= 0).tolist()
         assert tuple(answered) == (1, 3)
         assert not responses.available[1, 3]
@@ -267,8 +282,8 @@ class TestProcessQueries:
 
     def test_all_ones_cardinality(self):
         cfg = EnvConfig(n_dispatchers=3, n_servers=4)
-        world = make_world(cfg)
-        responses = process_queries(world, [[True] * 4] * 3)
+        env = DispatchEnv(cfg)
+        responses = env.process_queries([[True] * 4] * 3)
         assert (responses.queue_length >= 0).sum() == 12
 
 
@@ -319,22 +334,31 @@ class TestUpdateKnowledge:
 
 class TestComputeRewards:
     def test_ack_minus_query_cost(self):
-        acks = [(0, 0, 1)]  # dispatcher 0's job 1 completed on server 0
-        rewards, completions, drops, queries = compute_rewards(
-            [], acks, [[True, True, False]], query_cost=0.005, n_dispatchers=1
-        )
+        # dispatcher 0's job 100 completes on server 0
+        cfg = EnvConfig(n_dispatchers=1, n_servers=3, query_cost=0.005)
+        env = make_env(cfg, arrivals=[False], available=[True, False, False])
+        fill_queue(env.world, 0, owners=[0])
+        out = env.step(JointAction([[True, True, False]], [None]))
+        rewards, completions, drops, queries = (
+            out.rewards, out.completions, out.drops, out.queries_issued)
         assert rewards[0] == pytest.approx(0.99, abs=1e-12)
-        assert completions == [1] and drops == [0] and queries == [2]
+        assert completions == (1,) and drops == (0,) and queries == (2,)
 
     def test_nothing_happened(self):
-        rewards, *_ = compute_rewards([], [], [[False, False]], 0.1, 1)
-        assert rewards == [0.0]
+        cfg = EnvConfig(n_dispatchers=1, n_servers=2, query_cost=0.1)
+        env = make_env(cfg, arrivals=[False], available=[True, True])
+        rewards = env.step(idle(cfg)).rewards
+        assert rewards == (0.0,)
 
     def test_nak_contributes_nothing(self):
-        naks = [(0, 0, 1)]  # dispatcher 0's job 1 dropped by server 0
-        rewards, completions, drops, _ = compute_rewards(naks, [], [[True]], 0.1, 1)
+        # dispatcher 0's job 100 is evicted from the full server 0
+        cfg = EnvConfig(n_dispatchers=1, n_servers=1, queue_capacity=1, query_cost=0.1)
+        env = make_env(cfg, arrivals=[True], available=[False])
+        fill_queue(env.world, 0, owners=[0])
+        out = env.step(JointAction([[True]], [0]))
+        rewards, completions, drops = out.rewards, out.completions, out.drops
         assert rewards[0] == pytest.approx(-0.1, abs=1e-12)
-        assert completions == [0] and drops == [1]
+        assert completions == (0,) and drops == (1,)
 
 
 class TestStep:
@@ -431,6 +455,27 @@ class TestActionContract:
         assert ([(e.dispatcher, e.job.id, e.reported_queue) for e in first.feedback],
                 first.observations) == expected
         assert first.observations[0].aoi == [1]
+
+    @pytest.mark.parametrize("target", [np.int64(1), np.int32(1), np.uint8(1)],
+                             ids=["int64", "int32", "uint8"])
+    def test_numpy_integer_target_accepted(self, target):
+        cfg = EnvConfig(n_dispatchers=1, n_servers=2, arrival_prob=1.0, seed=3)
+        plain, numpy_int = DispatchEnv(cfg), DispatchEnv(cfg)
+        expected = plain.step(JointAction(((False, False),), (1,)))
+        got = numpy_int.step(JointAction(((False, False),), (target,)))
+        assert (got.completions, got.feedback, got.observations) == (
+            expected.completions, expected.feedback, expected.observations)
+        assert numpy_int.world.length.tolist() == plain.world.length.tolist()
+
+    @pytest.mark.parametrize("target", [1.0, True, np.float64(1.0), np.bool_(True), "1"],
+                             ids=["float", "bool", "float64", "numpy-bool", "str"])
+    def test_non_integer_target_rejected_before_anything_moves(self, target):
+        cfg = EnvConfig(n_dispatchers=1, n_servers=2, arrival_prob=1.0)
+        env = DispatchEnv(cfg)
+        with pytest.raises(ContractViolation, match="not an integer"):
+            env.step(JointAction(((False, False),), (target,)))
+        assert env.world.length.tolist() == [0, 0]
+        assert env.world.next_job_id == 0 and env.slot == 0
 
 
 class TestObserve:
