@@ -54,7 +54,7 @@ def baseline_queries(
     return _constant_bits(kind.variant == ALWAYS, n_dispatchers, n_servers)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _constant_bits(value: bool, n_dispatchers: int, n_servers: int) -> np.ndarray:
     bits = np.full((n_dispatchers, n_servers), value)
     bits.flags.writeable = False

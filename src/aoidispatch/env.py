@@ -248,15 +248,15 @@ class DispatchEnv:
         # the per-server values knowledge takes where a dispatcher heard from
         # a server this slot: slot-start availability, reported queue, age 1
         self._fresh = np.ones((3, 1, config.n_servers), dtype=np.int64)
-        # thresholds of the draw phase, servers then dispatchers: a draw below
-        # the first keeps an available server available and brings a job to a
-        # dispatcher; a draw at or above the second makes an unavailable
-        # server available
+        # draw thresholds, servers then dispatchers: a server that is up stays
+        # up below stay_available, one that is down comes up at or above
+        # stay_unavailable; a dispatcher, counted as up, gets a job below
+        # arrival_prob
         self._thresholds = (
             config.stay_available + config.arrival_prob,
             config.stay_unavailable + (0.0,) * config.n_dispatchers,
         )
-        self._dispatchers_up = [True] * config.n_dispatchers  # dispatchers take the first
+        self._dispatchers_up = [True] * config.n_dispatchers
         self._rng = np.random.default_rng(config.seed)
         self.world = init_world(config, self._rng)
 
@@ -364,7 +364,8 @@ class DispatchEnv:
         query_counts = [row.count(True) for row in queries.tolist()]
         rewards = [c - cfg.query_cost * q for c, q in zip(completions, query_counts)]
 
-        # phase 5: knowledge; feedback first, then queries, which win
+        # phase 5: knowledge; where a query and a post-service report meet,
+        # the query's slot-start queue wins
         planes = world.planes + _AGE_STEP
         heard = queries.copy()
         for owner_n, server, _ in naks:
