@@ -10,7 +10,6 @@ from .env import (
     Job,
     Knowledge,
     KnowledgeSnapshot,
-    QueryResponses,
     StepOutcome,
     WorldState,
     stationary_distribution,
@@ -65,7 +64,6 @@ __all__ = [
     "KnowledgeSnapshot",
     "MappoPolicy",
     "PolicyHeads",
-    "QueryResponses",
     "ResultRow",
     "RolloutBuffer",
     "StepOutcome",

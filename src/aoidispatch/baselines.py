@@ -2,9 +2,10 @@
 
 Three query strategies: never query, query each server independently with a
 fixed probability, or query every server every slot. All of them dispatch to
-the least-loaded server according to the dispatcher's knowledge, overlaid
-with whatever query responses came back this slot (queries return within the
-slot, so a dispatcher that just paid for fresh state gets to use it).
+the least-loaded server according to the knowledge
+:meth:`~aoidispatch.env.DispatchEnv.process_queries` returns for their bits:
+queries return within the slot, so a dispatcher that just paid for fresh
+state gets to use it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .env import DispatchEnv, JointAction, Knowledge, QueryResponses
+from .env import DispatchEnv, JointAction, Knowledge
 from .errors import ConfigError
 
 NEVER = "never"
@@ -64,40 +65,25 @@ def _constant_bits(value: bool, n_dispatchers: int, n_servers: int) -> np.ndarra
 def least_loaded_dispatch(seen_queue, seen_available) -> np.ndarray:
     """Server with the smallest believed queue, along the last axis.
 
-    Ties prefer believed-available servers, then the lowest index. Pure
-    function of its inputs.
+    Ties prefer believed-available servers, then the lowest index: the
+    score is twice the queue, minus one if available. Pure function of its
+    inputs.
     """
-    return np.argmin(_load(seen_queue, seen_available), axis=-1)
+    return (2 * np.asarray(seen_queue) - np.asarray(seen_available)).argmin(axis=-1)
 
 
-def _load(queue, available) -> np.ndarray:
-    """The least-loaded score: twice the queue, minus one if available."""
-    return 2 * np.asarray(queue) - np.asarray(available)
-
-
-def baseline_dispatch(
-    knowledge: Knowledge, responses: Optional[QueryResponses], arrivals
-) -> tuple[Optional[int], ...]:
-    """Least-loaded target of every dispatcher with an arrival.
-
-    This slot's query ``responses`` (None when nothing was queried) overlay
-    the stale ``knowledge`` before the choice (queries return within the
-    slot).
-    """
-    load = _load(knowledge.seen_queue, knowledge.seen_available)
-    if responses is not None:
-        fresh = _load(responses.queue_length, responses.available)
-        np.copyto(load, fresh, where=responses.queue_length >= 0)
-    targets = load.argmin(axis=-1).tolist()
+def baseline_dispatch(knowledge: Knowledge, arrivals) -> tuple[Optional[int], ...]:
+    """Least-loaded target, on ``knowledge``, of every dispatcher with an
+    arrival."""
+    targets = least_loaded_dispatch(knowledge.seen_queue, knowledge.seen_available).tolist()
     return tuple([t if a else None for t, a in zip(targets, np.asarray(arrivals).tolist())])
 
 
 class BaselinePolicy:
     """Decentralized baseline controller usable by the episode runner.
 
-    Each slot it draws every dispatcher's query bits, reads the same-slot
-    responses from the environment, and dispatches least-loaded on the
-    overlaid knowledge.
+    Each slot it draws every dispatcher's query bits and dispatches
+    least-loaded on the knowledge overlaid with their same-slot answers.
     """
 
     def __init__(self, kind: BaselineKind):
@@ -116,8 +102,8 @@ class BaselinePolicy:
             self._rng = np.random.default_rng(0)
         cfg = env.config
         queries = baseline_queries(self.kind, cfg.n_dispatchers, cfg.n_servers, self._rng)
-        responses = None if self.kind.variant == NEVER else env.process_queries(queries)
-        return JointAction(queries, baseline_dispatch(env.knowledge, responses, env.arrivals))
+        knowledge = env.knowledge if self.kind.variant == NEVER else env.process_queries(queries)
+        return JointAction(queries, baseline_dispatch(knowledge, env.arrivals))
 
 
 def parse_policy_spec(spec: str) -> BaselineKind | str:

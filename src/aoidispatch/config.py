@@ -47,7 +47,9 @@ def _per_entity(value: Any, count: int, name: str, conv) -> tuple:
     """Broadcast a scalar or check a per-entity sequence against ``count``."""
     if isinstance(value, (list, tuple)):
         if len(value) != count:
-            raise ConfigError(f"{name} needs 1 or {count} entries, got {len(value)}")
+            raise ConfigError(
+                f"{name} needs one value or a list of {count}, got a list of {len(value)}"
+            )
         return tuple(conv(v, name) for v in value)
     return (conv(value, name),) * count
 
@@ -146,8 +148,8 @@ class TrainConfig:
     max_grad_norm: float = 0.5
     normalize_advantages: bool = True
     normalize_values: bool = True
-    # Condition the dispatch head on the observation refreshed with this
-    # slot's own query responses (queries return within the slot). Default
+    # Condition the dispatch head on the knowledge overlaid with the answers
+    # to this slot's own queries (queries return within the slot). Default
     # keeps both heads on the pre-query observation.
     two_phase_policy: bool = False
 

@@ -50,12 +50,14 @@ class Job:
 
 
 class Knowledge(NamedTuple):
-    """Every dispatcher's stale view of every server, as read-only
+    """Every dispatcher's view of every server, as read-only
     ``(n_dispatchers, n_servers)`` arrays.
 
     ``aoi[n, k]`` is the number of slots since dispatcher ``n`` last heard
-    from server ``k`` (always >= 1); ``seen_available`` (0/1) /
-    ``seen_queue`` are the values reported back then.
+    from server ``k``; ``seen_available`` (0/1) / ``seen_queue`` are the
+    values reported back then. In :attr:`DispatchEnv.knowledge` every age is
+    >= 1. In the overlay :meth:`DispatchEnv.process_queries` returns, an
+    entry queried this slot holds the slot-start values at age 0.
     """
 
     seen_available: np.ndarray
@@ -92,17 +94,6 @@ class FeedbackEvent:
     accepted: bool
     reported_available: bool
     reported_queue: int
-
-
-class QueryResponses(NamedTuple):
-    """Answers to one slot's queries, ``(n_dispatchers, n_servers)`` each.
-
-    Where dispatcher ``n`` queried server ``k``, the server's slot-start
-    availability and queue length; elsewhere False and -1.
-    """
-
-    available: np.ndarray
-    queue_length: np.ndarray
 
 
 class JointAction:
@@ -248,6 +239,8 @@ class DispatchEnv:
         # the per-server values knowledge takes where a dispatcher heard from
         # a server this slot: slot-start availability, reported queue, age 1
         self._fresh = np.ones((3, 1, config.n_servers), dtype=np.int64)
+        # the same at age 0: what a query answers before the slot moves
+        self._answers = np.zeros((3, 1, config.n_servers), dtype=np.int64)
         # draw thresholds, servers then dispatchers: a server that is up stays
         # up below stay_available, one that is down comes up at or above
         # stay_unavailable; a dispatcher, counted as up, gets a job below
@@ -398,7 +391,8 @@ class DispatchEnv:
     @property
     def knowledge(self) -> Knowledge:
         """Every dispatcher's knowledge (read-only arrays): all a policy may
-        read of the world besides its own query responses."""
+        read of the world besides the answers to its own queries (see
+        :meth:`process_queries`)."""
         return self.world.knowledge
 
     def observe(self, dispatcher: int) -> KnowledgeSnapshot:
@@ -407,15 +401,20 @@ class DispatchEnv:
             raise ContractViolation(f"dispatcher index {dispatcher} out of range")
         return KnowledgeSnapshot.of(self.world.knowledge, dispatcher)
 
-    def process_queries(self, queries) -> QueryResponses:
-        """Answer every set query bit with the server's current availability
-        and queue length. Pure read; call before :meth:`step` so responses
-        carry slot-start values."""
+    def process_queries(self, queries) -> Knowledge:
+        """:attr:`knowledge` with every entry whose query bit is set replaced
+        by the server's current availability and queue length at age 0.
+        Pure read; call before :meth:`step` so the answers carry slot-start
+        values."""
         queries = np.asarray(queries, dtype=bool)
         if queries.shape != self._shape:
             raise ContractViolation(f"query bits must have shape {self._shape}, got {queries.shape}")
-        world = self.world
-        return QueryResponses(queries & world.available, np.where(queries, world.length, -1))
+        world, answers = self.world, self._answers
+        answers[0, 0] = world.available
+        answers[1, 0] = world.length
+        planes = np.where(queries, answers, world.planes)
+        planes.setflags(write=False)
+        return _knowledge(planes)
 
     @property
     def slot(self) -> int:

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import EnvConfig, TrainConfig, config_as_dict
-from .env import DispatchEnv, JointAction, Knowledge, QueryResponses, WorldState, dispatch_targets
+from .env import DispatchEnv, JointAction, Knowledge, WorldState, dispatch_targets
 from .errors import ConfigError, ContractViolation
 from .nn import Adam, DenseNet, PolicyHeads, one_blas_thread
 from .records import RecordWriter, atomic_write
@@ -54,12 +54,18 @@ def encode_actor_batch(
     sharing."""
     n, k = config.n_dispatchers, config.n_servers
     out = np.zeros((n, actor_obs_dim(config, parameter_sharing)))
-    out[:, 0 : 3 * k : 3] = knowledge.seen_available
-    out[:, 1 : 3 * k : 3] = knowledge.seen_queue / config.queue_capacity
-    out[:, 2 : 3 * k : 3] = np.minimum(knowledge.aoi, config.aoi_cap) / float(config.aoi_cap)
+    _encode_servers(out, knowledge, config)
     if parameter_sharing:
         out[:, 3 * k :] = np.eye(n)
     return out
+
+
+def _encode_servers(out: np.ndarray, knowledge: Knowledge, config: EnvConfig) -> None:
+    """Write the per-server triples of :func:`encode_actor_batch` into ``out``."""
+    k = config.n_servers
+    out[:, 0 : 3 * k : 3] = knowledge.seen_available
+    out[:, 1 : 3 * k : 3] = knowledge.seen_queue / config.queue_capacity
+    out[:, 2 : 3 * k : 3] = np.minimum(knowledge.aoi, config.aoi_cap) / float(config.aoi_cap)
 
 
 def encode_critic_state(world: WorldState, config: EnvConfig) -> np.ndarray:
@@ -71,18 +77,6 @@ def encode_critic_state(world: WorldState, config: EnvConfig) -> np.ndarray:
         world.length / config.queue_capacity,
         (np.minimum(world.knowledge.aoi, cap) / float(cap)).ravel(),
     ))
-
-
-def refresh_encoded_obs(obs: np.ndarray, responses: QueryResponses, config: EnvConfig) -> np.ndarray:
-    """Encoded observations with queried entries replaced by this slot's
-    responses (age encoded as 0: fresher than any stored knowledge)."""
-    k = config.n_servers
-    asked = responses.queue_length >= 0
-    out = obs.copy()
-    out[:, 0 : 3 * k : 3][asked] = responses.available[asked]
-    out[:, 1 : 3 * k : 3][asked] = (responses.queue_length / config.queue_capacity)[asked]
-    out[:, 2 : 3 * k : 3][asked] = 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +120,17 @@ def select_actions(
 
     Samples with ``rng``, or takes each head's mode when ``rng`` is None.
     A two-phase policy issues its queries on ``env`` and conditions the
-    dispatch head on ``obs`` refreshed with the responses; otherwise the
-    dispatch head is the query head. Returns ``(bits, dispatch, heads,
+    dispatch head on the encoded knowledge overlaid with their answers
+    (age 0 encodes as 0.0, fresher than any stored knowledge); otherwise
+    the dispatch head is the query head. Returns ``(bits, dispatch, heads,
     dispatch_heads, dispatch_obs)``.
     """
     heads = actors.heads(obs)
     bits = heads.greedy_queries() if rng is None else heads.sample_queries(rng)
     dispatch_heads, dispatch_obs = heads, obs
     if two_phase:
-        responses = env.process_queries(bits)
-        dispatch_obs = refresh_encoded_obs(obs, responses, env.config)
+        dispatch_obs = obs.copy()  # the dispatcher ids stay
+        _encode_servers(dispatch_obs, env.process_queries(bits), env.config)
         dispatch_heads = actors.heads(dispatch_obs)
     if rng is None:
         disp = dispatch_heads.greedy_dispatch(env.arrivals)
@@ -208,7 +203,7 @@ class RolloutBuffer:
     advantages: Optional[np.ndarray] = None
     returns: Optional[np.ndarray] = None
     # two-phase policies: the observation the dispatch head conditioned on
-    # (pre-query observation refreshed with the slot's query responses)
+    # (the encoded knowledge overlaid with the slot's query answers)
     actor_obs_refreshed: Optional[np.ndarray] = None
 
     @property

@@ -121,9 +121,7 @@ class SweepSpec:
         for key in ("values", "policies", "seeds"):  # a string would be read per character
             if key in data and not isinstance(data[key], (list, tuple)):
                 raise ConfigError(f"sweep {key!r} must be an array, got {data[key]!r}")
-        for spec in data.get("policies", ()):
-            if not isinstance(spec, str):
-                raise ConfigError(f"sweep 'policies' entries must be strings, got {spec!r}")
+        _check_policy_specs(data.get("policies", ()))
         try:
             swept = data["swept_parameter"]
             values = list(data["values"])
@@ -165,6 +163,7 @@ class SweepSpec:
             raise ConfigError("sweep needs at least one seed")
         if not self.policies:
             raise ConfigError("sweep needs at least one policy")
+        _check_policy_specs(self.policies)
         if self.eval_episodes < 1:
             raise ConfigError("eval_episodes must be >= 1")
         cells = [apply_swept_value(self.base_env, self.swept_parameter, v) for v in self.values]
@@ -175,6 +174,12 @@ class SweepSpec:
                 for cfg in cells:
                     check_checkpoint_dimensions(parsed, trained_on, cfg)
         return cells
+
+
+def _check_policy_specs(policies) -> None:
+    for spec in policies:
+        if not isinstance(spec, str):
+            raise ConfigError(f"sweep 'policies' entries must be strings, got {spec!r}")
 
 
 def _usable_cpus() -> int:

@@ -17,7 +17,7 @@ from aoidispatch import (
     parse_policy_spec,
 )
 from aoidispatch.baselines import baseline_dispatch, baseline_queries
-from aoidispatch.env import DispatchEnv, Knowledge, QueryResponses
+from aoidispatch.env import DispatchEnv, Knowledge
 
 
 class TestBaselineQueries:
@@ -62,12 +62,14 @@ def least_loaded(snap: Knowledge) -> int:
     return int(least_loaded_dispatch(snap.seen_queue[0], snap.seen_available[0]))
 
 
-def responses(available, queue_length) -> QueryResponses:
-    """One dispatcher's query responses (queue -1 where it did not query)."""
-    return QueryResponses(np.array([available]), np.array([queue_length]))
-
-
-NO_RESPONSES = {k: responses([False] * k, [-1] * k) for k in (2, 3)}
+def answered(stale: Knowledge, bits, available, queue_length) -> Knowledge:
+    """``stale`` overlaid with one dispatcher's answers to ``bits`` from
+    servers in this true state (see ``DispatchEnv.process_queries``)."""
+    env = DispatchEnv(EnvConfig(n_dispatchers=1, n_servers=len(queue_length)))
+    env.world.planes = np.stack(stale)
+    env.world.available = np.array(available)
+    env.world.length = np.array(queue_length)
+    return env.process_queries([bits])
 
 
 class TestLeastLoaded:
@@ -99,19 +101,19 @@ class TestLeastLoaded:
 
 class TestBaselineStep:
     def test_fresh_overlay_beats_stale_snapshot(self):
-        # stale view says server 0 is shortest; fresh responses say otherwise
+        # stale view says server 0 is shortest; fresh answers say otherwise
         stale = snapshot([0, 5], aoi=[40, 40])
-        fresh = responses([True, True], [3, 0])
         rng = np.random.default_rng(0)
         bits = baseline_queries(BaselineKind("always"), 1, 2, rng)
-        (target,) = baseline_dispatch(stale, fresh, np.array([True]))
+        fresh = answered(stale, bits[0], [True, True], [3, 0])
         assert bits[0].tolist() == [True, True]
-        assert target == 1
+        assert baseline_dispatch(stale, np.array([True])) == (0,)
+        assert baseline_dispatch(fresh, np.array([True])) == (1,)
 
     def test_no_arrival_no_dispatch(self):
         rng = np.random.default_rng(0)
         bits = baseline_queries(BaselineKind("never"), 1, 2, rng)
-        (target,) = baseline_dispatch(snapshot([1, 2]), NO_RESPONSES[2], np.array([False]))
+        (target,) = baseline_dispatch(snapshot([1, 2]), np.array([False]))
         assert bits[0].tolist() == [False, False]
         assert target is None
 
@@ -123,7 +125,7 @@ class TestBaselineStep:
             rng = np.random.default_rng(12)
             seqs.append([
                 (baseline_queries(kind, 1, 3, rng).tolist(),
-                 baseline_dispatch(snap, NO_RESPONSES[3], np.array([True])))
+                 baseline_dispatch(snap, np.array([True])))
                 for _ in range(20)
             ])
         assert seqs[0] == seqs[1]
@@ -139,8 +141,10 @@ class TestBaselineStep:
 
     def test_partial_overlay_keeps_other_entries(self):
         stale = snapshot([2, 0], available=[True, True])
-        fresh = responses([False, False], [1, -1])  # only server 0 refreshed
-        (target,) = baseline_dispatch(stale, fresh, np.array([True]))
+        fresh = answered(stale, [True, False], [False, False], [1, 4])  # only server 0 refreshed
+        assert fresh.seen_queue.tolist() == [[1, 0]]
+        assert fresh.aoi.tolist() == [[0, 1]]
+        (target,) = baseline_dispatch(fresh, np.array([True]))
         assert target == 1  # server 1 still believed empty
 
 

@@ -293,6 +293,13 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match=f"'{key}' must be an array"):
             SweepSpec.from_dict({**tiny_spec_dict(["never"]), key: "0"})
 
+    def test_non_string_policy_names_its_key(self):
+        with pytest.raises(ConfigError, match="'policies' entries must be strings, got 1"):
+            SweepSpec.from_dict({**tiny_spec_dict(["never"]), "policies": ["never", 1]})
+        spec = SweepSpec("query_cost", [0.0], [1], [0], EnvConfig(**tiny_env_kwargs()), TrainConfig())
+        with pytest.raises(ConfigError, match="'policies' entries must be strings, got 1"):
+            spec.validate()
+
     @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.name)
     def test_shipped_specs_validate(self, path):
         spec = SweepSpec.from_file(path)

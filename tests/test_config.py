@@ -36,6 +36,16 @@ class TestEnvConfig:
         with pytest.raises(ConfigError):
             EnvConfig(n_dispatchers=2, n_servers=3, stay_available=[0.9, 0.9])
 
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(n_dispatchers=1, arrival_prob=[0.5] * 5),
+         "arrival_prob needs one value or a list of 1, got a list of 5"),
+        (dict(n_servers=3, stay_available=[0.9, 0.9]),
+         "stay_available needs one value or a list of 3, got a list of 2"),
+    ], ids=["one-dispatcher", "three-servers"])
+    def test_wrong_length_message_counts(self, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            EnvConfig(**kwargs)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -264,8 +264,9 @@ class TestProcessQueries:
     def test_no_queries_no_responses(self):
         cfg = EnvConfig(n_dispatchers=2, n_servers=3)
         env = DispatchEnv(cfg)
-        responses = env.process_queries([[False] * 3] * 2)
-        assert not (responses.queue_length >= 0).any()
+        overlay = env.process_queries([[False] * 3] * 2)
+        for answered, stale in zip(overlay, env.knowledge):
+            assert np.array_equal(answered, stale)
 
     def test_response_passes_through_state(self):
         cfg = EnvConfig(n_dispatchers=2, n_servers=4)
@@ -274,17 +275,20 @@ class TestProcessQueries:
         world.available[3] = False
         fill_queue(world, 3, owners=[0, 1])
         queries = [[False] * 4, [False, False, False, True]]
-        responses = env.process_queries(queries)
-        (answered,) = np.argwhere(responses.queue_length >= 0).tolist()
+        overlay = env.process_queries(queries)
+        (answered,) = np.argwhere(overlay.aoi == 0).tolist()
         assert tuple(answered) == (1, 3)
-        assert not responses.available[1, 3]
-        assert responses.queue_length[1, 3] == 2
+        assert not overlay.seen_available[1, 3]
+        assert overlay.seen_queue[1, 3] == 2
+        unasked = np.logical_not(queries)
+        for plane, before in zip(overlay, env.knowledge):
+            assert np.array_equal(plane[unasked], before[unasked])
 
     def test_all_ones_cardinality(self):
         cfg = EnvConfig(n_dispatchers=3, n_servers=4)
         env = DispatchEnv(cfg)
-        responses = env.process_queries([[True] * 4] * 3)
-        assert (responses.queue_length >= 0).sum() == 12
+        overlay = env.process_queries([[True] * 4] * 3)
+        assert (overlay.aoi == 0).sum() == 12
 
 
 class TestUpdateKnowledge:

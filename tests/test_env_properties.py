@@ -1,6 +1,8 @@
 """Randomized invariant suite for the simulation plus the small-system
 throughput oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,3 +182,56 @@ def test_oracle_sanity_limits():
     assert joint_chain_throughput(1.0, 0.999999, 0.000001) == pytest.approx(1.0, abs=1e-4)
     # no arrivals: nothing to serve
     assert joint_chain_throughput(0.0, 0.9, 0.5) == pytest.approx(0.0, abs=1e-12)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    report_post_service=st.booleans(),
+    drop_newest=st.booleans(),
+    warmup=st.integers(min_value=0, max_value=20),
+    query_prob=st.sampled_from([0.0, 0.3, 1.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_query_overlay_is_knowledge(seed, report_post_service, drop_newest, warmup, query_prob):
+    rng = np.random.default_rng(seed)
+    cfg = replace(
+        random_env_config(rng), report_post_service=report_post_service, drop_newest=drop_newest
+    )
+    env, twin = DispatchEnv(cfg), DispatchEnv(cfg)
+    for _ in range(warmup):
+        action = random_joint_action(env, rng)
+        env.step(action)
+        twin.step(action)
+    action = random_joint_action(env, rng, query_prob)
+    bits = action.queries
+    stale = tuple(plane.copy() for plane in env.knowledge)
+    world_available, world_length = env.world.available.copy(), env.world.length.copy()
+
+    overlay = env.process_queries(bits)
+    assert np.array_equal(np.stack(env.knowledge), np.stack(stale))
+    for plane, before in zip(overlay, stale):
+        assert not plane.flags.writeable
+        assert np.array_equal(plane[~bits], before[~bits])
+    n_asked = int(bits.sum())
+    servers = np.nonzero(bits)[1]
+    assert np.array_equal(overlay.seen_available[bits], world_available[servers])
+    assert np.array_equal(overlay.seen_queue[bits], world_length[servers])
+    assert np.array_equal(overlay.aoi[bits], np.zeros(n_asked))
+
+    # a query wins over feedback: the queried entries hold the overlay's
+    # values one slot older
+    outcome = env.step(action)
+    after = env.knowledge
+    assert np.array_equal(after.seen_available[bits], overlay.seen_available[bits])
+    assert np.array_equal(after.seen_queue[bits], overlay.seen_queue[bits])
+    assert np.array_equal(after.aoi[bits], np.ones(n_asked))
+
+    # process_queries is a pure read: the twin never called it
+    twin_outcome = twin.step(action)
+    assert np.array_equal(env.world.planes, twin.world.planes)
+    for name in ("available", "owner", "job", "head", "length", "arrivals"):
+        assert np.array_equal(getattr(env.world, name), getattr(twin.world, name))
+    assert env.world.next_job_id == twin.world.next_job_id
+    assert (outcome.rewards, outcome.naks, outcome.acks, outcome.reported_queue) == (
+        twin_outcome.rewards, twin_outcome.naks, twin_outcome.acks, twin_outcome.reported_queue
+    )
