@@ -8,12 +8,15 @@ snapshots alone.
 
 Actors share one network by default, with a one-hot dispatcher id appended
 to the observation; set ``parameter_sharing=False`` for per-dispatcher
-networks. Both heads are conditioned on the pre-query observation: a query
-issued this slot refreshes what the actor sees from the next slot on.
+networks. The query head is conditioned on the pre-query observation. By
+default so is the dispatch head, and a query issued this slot refreshes what
+the actor sees from the next slot on; with ``two_phase_policy`` the dispatch
+head instead sees the observation overlaid with this slot's query answers.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 import zipfile
@@ -52,31 +55,60 @@ def encode_actor_batch(
     server the triple (seen availability, seen queue / capacity, capped
     normalized age), then the one-hot dispatcher id under parameter
     sharing."""
-    n, k = config.n_dispatchers, config.n_servers
-    out = np.zeros((n, actor_obs_dim(config, parameter_sharing)))
+    out = np.empty((config.n_dispatchers, actor_obs_dim(config, parameter_sharing)))
+    _encode_ids(out, config, parameter_sharing)
     _encode_servers(out, knowledge, config)
-    if parameter_sharing:
-        out[:, 3 * k :] = np.eye(n)
     return out
-
-
-def _encode_servers(out: np.ndarray, knowledge: Knowledge, config: EnvConfig) -> None:
-    """Write the per-server triples of :func:`encode_actor_batch` into ``out``."""
-    k = config.n_servers
-    out[:, 0 : 3 * k : 3] = knowledge.seen_available
-    out[:, 1 : 3 * k : 3] = knowledge.seen_queue / config.queue_capacity
-    out[:, 2 : 3 * k : 3] = np.minimum(knowledge.aoi, config.aoi_cap) / float(config.aoi_cap)
 
 
 def encode_critic_state(world: WorldState, config: EnvConfig) -> np.ndarray:
     """Full-state critic input: true availabilities, true normalized queue
     lengths, and the normalized age matrix of every dispatcher."""
-    cap = config.aoi_cap
-    return np.concatenate((
-        world.available,
-        world.length / config.queue_capacity,
-        (np.minimum(world.knowledge.aoi, cap) / float(cap)).ravel(),
-    ))
+    out = np.empty(critic_state_dim(config))
+    ages = _encode_world(out, world, config)
+    np.divide(np.minimum(world.knowledge.aoi, config.aoi_cap), float(config.aoi_cap), out=ages)
+    return out
+
+
+# The parts of the two encodings, each written into a slice of a
+# preallocated array: a rollout encodes straight into its buffer.
+
+
+@functools.lru_cache(maxsize=64)
+def _float_capacity(queue_capacity: tuple[int, ...]) -> np.ndarray:
+    # read-only: every caller with this capacity tuple gets the same array
+    capacity = np.array(queue_capacity, dtype=np.float64)
+    capacity.setflags(write=False)
+    return capacity
+
+
+def _encode_ids(out: np.ndarray, config: EnvConfig, parameter_sharing: bool) -> None:
+    """Write the one-hot dispatcher ids into the last axis of ``out`` (one
+    or more stacked ``(n_dispatchers, obs_dim)`` batches)."""
+    if parameter_sharing:
+        out[..., 3 * config.n_servers :] = np.eye(config.n_dispatchers)
+
+
+def _encode_servers(out: np.ndarray, knowledge: Knowledge, config: EnvConfig) -> np.ndarray:
+    """Write the per-server triples of :func:`encode_actor_batch` into
+    ``out``; returns the ``(n_dispatchers, n_servers)`` age columns, a view
+    of ``out``."""
+    k3 = 3 * config.n_servers
+    out[:, 0:k3:3] = knowledge.seen_available
+    np.divide(knowledge.seen_queue, _float_capacity(config.queue_capacity), out=out[:, 1:k3:3])
+    ages = out[:, 2:k3:3]
+    np.divide(np.minimum(knowledge.aoi, config.aoi_cap), float(config.aoi_cap), out=ages)
+    return ages
+
+
+def _encode_world(out: np.ndarray, world: WorldState, config: EnvConfig) -> np.ndarray:
+    """Write the availabilities and normalized queue lengths of
+    :func:`encode_critic_state` into ``out``; returns its age block as an
+    ``(n_dispatchers, n_servers)`` view, for the caller to fill."""
+    k = config.n_servers
+    out[:k] = world.available
+    np.divide(world.length, _float_capacity(config.queue_capacity), out=out[k : 2 * k])
+    return out[2 * k :].reshape(config.n_dispatchers, k)
 
 
 # ---------------------------------------------------------------------------
@@ -113,37 +145,41 @@ def select_actions(
     actors: ActorGroup,
     env: DispatchEnv,
     obs: np.ndarray,
-    two_phase: bool,
+    dispatch_obs: Optional[np.ndarray],
     rng: Optional[np.random.Generator] = None,
-) -> tuple[np.ndarray, np.ndarray, PolicyHeads, PolicyHeads, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One decentralized decision per dispatcher: query bits, then dispatch.
 
-    Samples with ``rng``, or takes each head's mode when ``rng`` is None.
-    A two-phase policy issues its queries on ``env`` and conditions the
-    dispatch head on the encoded knowledge overlaid with their answers
-    (age 0 encodes as 0.0, fresher than any stored knowledge); otherwise
-    the dispatch head is the query head. Returns ``(bits, dispatch, heads,
-    dispatch_heads, dispatch_obs)``.
+    Samples with ``rng`` (the query bits' uniforms, then one per arrival),
+    or takes each head's mode when ``rng`` is None. With ``dispatch_obs``
+    None the dispatch head is the query head. Otherwise the policy is
+    two-phase: it issues its queries on ``env``, writes the knowledge
+    overlaid with their answers (age 0 encodes as 0.0, fresher than any
+    stored knowledge) into the server columns of ``dispatch_obs``, whose
+    dispatcher-id columns the caller has set, and conditions the dispatch
+    head on it. Returns ``(bits, dispatch, logits, dispatch_logits)``, the
+    logits being the actor outputs the two heads sampled from.
     """
     heads = actors.heads(obs)
     bits = heads.greedy_queries() if rng is None else heads.sample_queries(rng)
-    dispatch_heads, dispatch_obs = heads, obs
-    if two_phase:
-        dispatch_obs = obs.copy()  # the dispatcher ids stay
+    dispatch_heads = heads
+    if dispatch_obs is not None:
         _encode_servers(dispatch_obs, env.process_queries(bits), env.config)
         dispatch_heads = actors.heads(dispatch_obs)
     if rng is None:
         disp = dispatch_heads.greedy_dispatch(env.arrivals)
     else:
         disp = dispatch_heads.sample_dispatch(rng, env.arrivals)
-    return bits, disp, heads, dispatch_heads, dispatch_obs
+    return bits, disp, heads.raw, dispatch_heads.raw
 
 
 class MappoPolicy:
     """Decentralized execution of trained actors (the critic is not used).
 
     Actions are sampled from the stochastic policy as trained; ``greedy``
-    takes each head's mode instead.
+    takes each head's mode instead. :meth:`act` encodes into observation
+    arrays the policy keeps per env config, so one instance serves one
+    caller at a time.
     """
 
     def __init__(
@@ -159,19 +195,27 @@ class MappoPolicy:
         self.two_phase = two_phase
         self.name = "mappo"
         self._rng = np.random.default_rng(0)
+        # the env config the observation buffers were set up for
+        self._config: Optional[EnvConfig] = None
+        self._obs = self._dispatch_obs = None
 
     def begin_episode(self, rng: np.random.Generator) -> None:
         self._rng = rng
 
     def act(self, env: DispatchEnv) -> JointAction:
         cfg = env.config
-        if cfg.n_dispatchers != self.env_config.n_dispatchers or cfg.n_servers != self.env_config.n_servers:
-            raise ConfigError(
-                "environment dimensions do not match the dimensions this policy was trained for"
-            )
-        obs = encode_actor_batch(env.knowledge, cfg, self.actors.shared)
+        if cfg is not self._config:
+            if (cfg.n_dispatchers, cfg.n_servers) != (self.env_config.n_dispatchers, self.env_config.n_servers):
+                raise ConfigError(
+                    "environment dimensions do not match the dimensions this policy was trained for"
+                )
+            self._obs = np.empty((cfg.n_dispatchers, self.actors.obs_dim))
+            _encode_ids(self._obs, cfg, self.actors.shared)
+            self._dispatch_obs = self._obs.copy() if self.two_phase else None
+            self._config = cfg
+        _encode_servers(self._obs, env.knowledge, cfg)
         rng = None if self.greedy else self._rng
-        bits, disp, *_ = select_actions(self.actors, env, obs, self.two_phase, rng)
+        bits, disp, _, _ = select_actions(self.actors, env, self._obs, self._dispatch_obs, rng)
         return JointAction(bits, dispatch_targets(disp))
 
 
@@ -205,6 +249,13 @@ class RolloutBuffer:
     # two-phase policies: the observation the dispatch head conditioned on
     # (the encoded knowledge overlaid with the slot's query answers)
     actor_obs_refreshed: Optional[np.ndarray] = None
+    # (length, n_agents, 2 * n_servers) behavior actor outputs: ``logits``
+    # on ``actor_obs``, which drove the query bits and, for a one-phase
+    # policy, the dispatch; ``dispatch_logits`` on ``actor_obs_refreshed``,
+    # which drove a two-phase policy's dispatch (None for one-phase).
+    # ``log_probs`` is computed from them.
+    logits: Optional[np.ndarray] = None
+    dispatch_logits: Optional[np.ndarray] = None
 
     @property
     def length(self) -> int:
@@ -270,44 +321,54 @@ def collect_rollout(
     rng: np.random.Generator,
     normalizer: Optional[ValueNormalizer] = None,
 ) -> RolloutBuffer:
-    """Run the envs for ``rollout_length`` slots, sampling from the actors.
+    """Run ``env`` for ``rollout_length`` slots, sampling from the actors.
 
     Episodes that hit the horizon inside the rollout are bootstrapped with
     the critic's value of the truncated state and the env is reset in place.
+    Each slot encodes straight into the buffer and keeps the actor logits;
+    the behavior log-probs are computed from them once, after the last
+    slot.
     """
     cfg = env.config
     two_phase = train_config.two_phase_policy
     length, n, k = train_config.rollout_length, cfg.n_dispatchers, cfg.n_servers
     actor_obs = np.empty((length, n, actors.obs_dim))
-    actor_obs_refreshed = np.empty((length, n, actors.obs_dim)) if two_phase else None
+    _encode_ids(actor_obs, cfg, actors.shared)
+    actor_obs_refreshed = actor_obs.copy() if two_phase else None
+    logits = np.empty((length, n, 2 * k))
+    dispatch_logits = np.empty((length, n, 2 * k)) if two_phase else None
     query_bits = np.empty((length, n, k), dtype=np.int8)
     dispatch = np.empty((length, n), dtype=np.int64)
-    log_probs = np.empty((length, n))
     states = np.empty((length, critic_state_dim(cfg)))
     rewards = np.empty(length)
     episode_ends = np.zeros(length, dtype=bool)
     end_states: list[tuple[int, np.ndarray]] = []
 
     for t in range(length):
-        obs = encode_actor_batch(env.knowledge, cfg, actors.shared)
-        state = encode_critic_state(env.world, cfg)
-        bits, disp, heads, dispatch_heads, dispatch_obs = select_actions(
-            actors, env, obs, two_phase, rng
+        ages = _encode_servers(actor_obs[t], env.knowledge, cfg)
+        _encode_world(states[t], env.world, cfg)[...] = ages  # the ages just encoded
+        bits, disp, slot_logits, slot_dispatch_logits = select_actions(
+            actors, env, actor_obs[t], actor_obs_refreshed[t] if two_phase else None, rng
         )
-        log_probs[t] = heads.log_prob_queries(bits) + dispatch_heads.log_prob_dispatch(disp)
-        outcome = env.step(JointAction(bits, dispatch_targets(disp)))
-
-        actor_obs[t] = obs
+        logits[t] = slot_logits
         if two_phase:
-            actor_obs_refreshed[t] = dispatch_obs
+            dispatch_logits[t] = slot_dispatch_logits
         query_bits[t] = bits
         dispatch[t] = disp
-        states[t] = state
-        rewards[t] = outcome.team_reward
+        rewards[t] = env.step(JointAction(bits, dispatch_targets(disp))).team_reward
         if env.done:
             episode_ends[t] = True
             end_states.append((t, encode_critic_state(env.world, cfg)))
             env.reset()
+
+    query_heads = PolicyHeads(logits.reshape(length * n, 2 * k), k)
+    dispatch_heads = (
+        PolicyHeads(dispatch_logits.reshape(length * n, 2 * k), k) if two_phase else query_heads
+    )
+    log_probs = (
+        query_heads.log_prob_queries(query_bits.reshape(length * n, k))
+        + dispatch_heads.log_prob_dispatch(dispatch.reshape(length * n))
+    ).reshape(length, n)
 
     tail = encode_critic_state(env.world, cfg)
     extra = np.vstack([s for _, s in end_states] + [tail])
@@ -330,6 +391,8 @@ def collect_rollout(
         end_values=end_values,
         bootstrap_value=bootstrap,
         actor_obs_refreshed=actor_obs_refreshed,
+        logits=logits,
+        dispatch_logits=dispatch_logits,
     )
 
 

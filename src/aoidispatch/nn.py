@@ -261,8 +261,23 @@ def _stacked_members(prefix: str, members: int, names: Sequence[str], arrays) ->
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # z is pre-clamped to +-LOGIT_CLAMP, exp cannot overflow
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    # z is pre-clamped to +-LOGIT_CLAMP, exp cannot overflow. One exp of
+    # -|z|: that is exp(-z) where z >= 0 and exp(z) where z < 0, so this is
+    # 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)) on their branches, bit for bit
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _clamp(logits: np.ndarray) -> np.ndarray:
+    # np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP) without its Python-level dispatch
+    return np.minimum(np.maximum(logits, -LOGIT_CLAMP), LOGIT_CLAMP)
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of clamped logits. The ufunc reductions are what
+    ``max``/``sum`` call, without their Python wrappers."""
+    u = z - np.maximum.reduce(z, axis=1, keepdims=True)
+    return u - np.log(np.add.reduce(np.exp(u), axis=1, keepdims=True))
 
 
 class PolicyHeads:
@@ -272,6 +287,10 @@ class PolicyHeads:
     the rest a categorical dispatch head. The dispatch head only exists for
     samples where a job arrived: without an arrival it contributes neither
     log-probability nor entropy, and the sampled target is -1.
+
+    The logits are clamped on construction; probabilities are computed on
+    first use. Sampling reads the query probabilities and the dispatch
+    distribution of the rows with an arrival only.
     """
 
     def __init__(self, logits: np.ndarray, n_servers: int):
@@ -282,18 +301,31 @@ class PolicyHeads:
             raise ValueError(f"expected (batch, {2 * n_servers}) logits, got {logits.shape}")
         self.n_servers = n_servers
         self.raw = logits
-        z = np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)
-        self._clamp_mask = (np.abs(logits) <= LOGIT_CLAMP).astype(np.float64)
-        self.query_probs = _sigmoid(z[:, :n_servers])
-        du = z[:, n_servers:]
-        du = du - du.max(axis=1, keepdims=True)
-        exp = np.exp(du)
-        self._log_dispatch = du - np.log(exp.sum(axis=1, keepdims=True))
-        self.dispatch_probs = np.exp(self._log_dispatch)
+        self._z = _clamp(logits)
+
+    @functools.cached_property
+    def query_probs(self) -> np.ndarray:
+        return _sigmoid(self._z[:, : self.n_servers])
+
+    @functools.cached_property
+    def _log_dispatch(self) -> np.ndarray:
+        return _log_softmax(self._z[:, self.n_servers :])
+
+    @functools.cached_property
+    def dispatch_probs(self) -> np.ndarray:
+        return np.exp(self._log_dispatch)
+
+    @functools.cached_property
+    def _clamp_mask(self) -> np.ndarray:
+        return (np.abs(self.raw) <= LOGIT_CLAMP).astype(np.float64)
+
+    def _dispatch_probs_of(self, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of :attr:`dispatch_probs`, computed for those rows only."""
+        return np.exp(_log_softmax(self._z[rows, self.n_servers :]))
 
     @property
     def batch(self) -> int:
-        return self.query_probs.shape[0]
+        return self.raw.shape[0]
 
     def _check_actions(self, bits: np.ndarray, dispatch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bits = np.asarray(bits)
@@ -315,9 +347,9 @@ class PolicyHeads:
         dispatch = np.full(self.batch, -1, dtype=np.int64)
         rows = np.asarray(arrivals).nonzero()[0]
         if rows.size:
-            cdf = self.dispatch_probs[rows].cumsum(axis=1)
+            cdf = self._dispatch_probs_of(rows).cumsum(axis=1)
             cdf[:, -1] = 1.0
-            dispatch[rows] = (cdf <= rng.random(rows.size)[:, None]).sum(axis=1)
+            dispatch[rows] = np.add.reduce(cdf <= rng.random(rows.size)[:, None], axis=1)
         return dispatch
 
     def sample(
@@ -332,7 +364,7 @@ class PolicyHeads:
     def greedy_dispatch(self, arrivals: Sequence[bool]) -> np.ndarray:
         dispatch = np.full(self.batch, -1, dtype=np.int64)
         rows = np.asarray(arrivals).nonzero()[0]
-        dispatch[rows] = self.dispatch_probs[rows].argmax(axis=1)
+        dispatch[rows] = self._dispatch_probs_of(rows).argmax(axis=1)
         return dispatch
 
     def greedy(self, arrivals: Sequence[bool]) -> tuple[np.ndarray, np.ndarray]:
@@ -421,9 +453,8 @@ class PolicyHeads:
         return self.grad_log_prob_queries(bits) + self.grad_log_prob_dispatch(dispatch)
 
     def grad_entropy_queries(self) -> np.ndarray:
-        z = np.clip(self.raw[:, : self.n_servers], -LOGIT_CLAMP, LOGIT_CLAMP)
         p = self.query_probs
-        grad_q = -z * p * (1.0 - p)
+        grad_q = -self._z[:, : self.n_servers] * p * (1.0 - p)
         out = np.concatenate([grad_q, np.zeros_like(self.dispatch_probs)], axis=1)
         return out * self._clamp_mask
 

@@ -23,7 +23,7 @@ from aoidispatch import (
     value_loss,
 )
 from aoidispatch import nn
-from aoidispatch.env import DispatchEnv, JointAction
+from aoidispatch.env import DispatchEnv, JointAction, dispatch_targets
 from aoidispatch.mappo import (
     RolloutBuffer,
     ValueNormalizer,
@@ -198,13 +198,18 @@ class TestAdvantageNormalization:
         assert norm.std() == pytest.approx(1.0, abs=1e-3)
 
 
-def small_setup(seed=0, sharing=True, n=2, k=2, horizon=64, rollout=32):
+def small_setup(seed=0, sharing=True, n=2, k=2, horizon=64, rollout=32, two_phase=False):
     env_cfg = EnvConfig(n_dispatchers=n, n_servers=k, horizon=horizon, seed=seed)
     train_cfg = TrainConfig(
         rollout_length=rollout, total_updates=2, eval_interval=100,
-        parameter_sharing=sharing, hidden_sizes=(16, 16),
+        parameter_sharing=sharing, hidden_sizes=(16, 16), two_phase_policy=two_phase,
     )
     return env_cfg, train_cfg
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestCollectRollout:
@@ -222,17 +227,70 @@ class TestCollectRollout:
         assert buf.bootstrap_value is not None
 
     def test_stored_log_probs_match_recomputation(self):
+        # the log-probs computed once per rollout equal, bit for bit, a
+        # per-slot PolicyHeads on the stored observations
         env_cfg, train_cfg = small_setup()
         trainer = Trainer(env_cfg, train_cfg, seed=5)
         buf = collect_rollout(
             trainer.env, trainer.actors, trainer.critic, train_cfg,
             np.random.default_rng(1), trainer.normalizer,
         )
-        k = env_cfg.n_servers
+        assert buf.dispatch_logits is None
         for t in range(buf.length):
             heads = trainer.actors.heads(buf.actor_obs[t])
+            assert np.array_equal(heads.raw, buf.logits[t])
             lp = heads.log_prob(buf.query_bits[t], buf.dispatch[t])
-            assert np.allclose(lp, buf.log_probs[t], atol=0.0)
+            assert np.array_equal(lp, buf.log_probs[t])
+
+    def test_stored_two_phase_log_probs_match_recomputation(self):
+        # two-phase: the query term from actor_obs, the dispatch term from
+        # actor_obs_refreshed
+        env_cfg, train_cfg = small_setup(two_phase=True)
+        trainer = Trainer(env_cfg, train_cfg, seed=5)
+        buf = collect_rollout(
+            trainer.env, trainer.actors, trainer.critic, train_cfg,
+            np.random.default_rng(1), trainer.normalizer,
+        )
+        assert (buf.dispatch >= 0).any()
+        for t in range(buf.length):
+            heads = trainer.actors.heads(buf.actor_obs[t])
+            dispatch_heads = trainer.actors.heads(buf.actor_obs_refreshed[t])
+            assert np.array_equal(heads.raw, buf.logits[t])
+            assert np.array_equal(dispatch_heads.raw, buf.dispatch_logits[t])
+            lp = heads.log_prob_queries(buf.query_bits[t]) + dispatch_heads.log_prob_dispatch(
+                buf.dispatch[t]
+            )
+            assert np.array_equal(lp, buf.log_probs[t])
+
+    @pytest.mark.parametrize("two_phase", [False, True])
+    @pytest.mark.parametrize("sharing", [True, False])
+    def test_buffer_replays_on_a_fresh_env(self, sharing, two_phase):
+        # the rollout encodes in place; replaying its actions on a fresh env
+        # with the same seed must give the public encoders' bytes every slot
+        env_cfg, train_cfg = small_setup(
+            sharing=sharing, n=3, k=2, horizon=16, rollout=40, two_phase=two_phase
+        )
+        # unequal capacities and an age cap reached inside an episode
+        env_cfg = replace(env_cfg, queue_capacity=(1, 4), aoi_cap=3)
+        trainer = Trainer(env_cfg, train_cfg, seed=19)
+        env = DispatchEnv(trainer.env.config)
+        cfg = env.config
+        buf = collect_rollout(
+            trainer.env, trainer.actors, trainer.critic, train_cfg,
+            np.random.default_rng(4), trainer.normalizer,
+        )
+        assert buf.episode_ends.sum() == 2
+        for t in range(buf.length):
+            assert same_bytes(buf.actor_obs[t], encode_actor_batch(env.knowledge, cfg, sharing))
+            assert same_bytes(buf.states[t], encode_critic_state(env.world, cfg))
+            if two_phase:
+                overlay = env.process_queries(buf.query_bits[t])
+                assert same_bytes(buf.actor_obs_refreshed[t], encode_actor_batch(overlay, cfg, sharing))
+            outcome = env.step(JointAction(buf.query_bits[t], dispatch_targets(buf.dispatch[t])))
+            assert outcome.team_reward == buf.rewards[t]
+            assert env.done == buf.episode_ends[t]
+            if env.done:
+                env.reset()
 
     def test_fixed_seeds_identical_buffers(self):
         env_cfg, train_cfg = small_setup()
@@ -390,6 +448,23 @@ class TestDimensionalityChecks:
             expected.append(row)
         obs = encode_actor_batch(env.knowledge, env_cfg, parameter_sharing=True)
         assert obs.tolist() == expected
+
+    def test_critic_state_matches_per_server_loop(self):
+        env_cfg = EnvConfig(n_dispatchers=3, n_servers=4, queue_capacity=(1, 2, 3, 4), aoi_cap=5)
+        env = DispatchEnv(env_cfg)
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            dispatch = tuple(int(rng.integers(4)) if a else None for a in env.arrivals.tolist())
+            env.step(JointAction(rng.random((3, 4)) < 0.3, dispatch))
+        # reference: availabilities, queue fill per server, then each
+        # dispatcher's capped ages
+        world = env.world
+        expected = [1.0 if up else 0.0 for up in world.available.tolist()]
+        expected += [q / c for q, c in zip(world.length.tolist(), env_cfg.queue_capacity)]
+        for n in range(3):
+            snap = env.observe(n)
+            expected += [min(a, env_cfg.aoi_cap) / float(env_cfg.aoi_cap) for a in snap.aoi]
+        assert encode_critic_state(world, env_cfg).tolist() == expected
 
 
 class TestValueNormalizer:

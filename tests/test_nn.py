@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from aoidispatch import ContractViolation
 from aoidispatch.nn import (
+    LOGIT_CLAMP,
     Adam,
     DenseNet,
     PolicyHeads,
+    _sigmoid,
     finite_difference_gradients,
     orthogonal_init,
 )
@@ -232,6 +234,24 @@ class TestPolicyHeads:
         rng = np.random.default_rng(6)
         bits = np.vstack([heads.sample(rng, [False])[0] for _ in range(2000)])
         assert bits[:, 0].all() and not bits[:, 1].any()
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_two_branch_formula(self):
+        # oracle: the formula that evaluates both branches, exp(-z) and exp(z)
+        def two_branch(z):
+            return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+
+        rng = np.random.default_rng(12)
+        uniform = rng.uniform(-LOGIT_CLAMP, LOGIT_CLAMP, 200_000)
+        signs = rng.choice([-1.0, 1.0], 200_000)
+        log_spaced = signs * 10.0 ** rng.uniform(-300, np.log10(LOGIT_CLAMP), 200_000)
+        edges = [0.0, -0.0, LOGIT_CLAMP, -LOGIT_CLAMP, 1e-300, -1e-300]
+        # the edges ten times, so the grid reshapes into rows of 10
+        grid = np.concatenate([uniform, log_spaced, np.tile(edges, 10)])
+        # contiguous, and a strided column block as the query head slices it
+        for z in (grid, grid.reshape(-1, 10)[:, :5]):
+            assert np.array_equal(_sigmoid(z).view(np.int64), two_branch(z).view(np.int64))
 
 
 class TestHeadGradients:
