@@ -16,7 +16,6 @@ head instead sees the observation overlaid with this slot's query answers.
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 import zipfile
@@ -74,14 +73,6 @@ def encode_critic_state(world: WorldState, config: EnvConfig) -> np.ndarray:
 # preallocated array: a rollout encodes straight into its buffer.
 
 
-@functools.lru_cache(maxsize=64)
-def _float_capacity(queue_capacity: tuple[int, ...]) -> np.ndarray:
-    # read-only: every caller with this capacity tuple gets the same array
-    capacity = np.array(queue_capacity, dtype=np.float64)
-    capacity.setflags(write=False)
-    return capacity
-
-
 def _encode_ids(out: np.ndarray, config: EnvConfig, parameter_sharing: bool) -> None:
     """Write the one-hot dispatcher ids into the last axis of ``out`` (one
     or more stacked ``(n_dispatchers, obs_dim)`` batches)."""
@@ -95,7 +86,7 @@ def _encode_servers(out: np.ndarray, knowledge: Knowledge, config: EnvConfig) ->
     of ``out``."""
     k3 = 3 * config.n_servers
     out[:, 0:k3:3] = knowledge.seen_available
-    np.divide(knowledge.seen_queue, _float_capacity(config.queue_capacity), out=out[:, 1:k3:3])
+    np.divide(knowledge.seen_queue, config.queue_capacity, out=out[:, 1:k3:3])
     ages = out[:, 2:k3:3]
     np.divide(np.minimum(knowledge.aoi, config.aoi_cap), float(config.aoi_cap), out=ages)
     return ages
@@ -107,7 +98,7 @@ def _encode_world(out: np.ndarray, world: WorldState, config: EnvConfig) -> np.n
     ``(n_dispatchers, n_servers)`` view, for the caller to fill."""
     k = config.n_servers
     out[:k] = world.available
-    np.divide(world.length, _float_capacity(config.queue_capacity), out=out[k : 2 * k])
+    np.divide(world.length, config.queue_capacity, out=out[k : 2 * k])
     return out[2 * k :].reshape(config.n_dispatchers, k)
 
 
@@ -249,13 +240,6 @@ class RolloutBuffer:
     # two-phase policies: the observation the dispatch head conditioned on
     # (the encoded knowledge overlaid with the slot's query answers)
     actor_obs_refreshed: Optional[np.ndarray] = None
-    # (length, n_agents, 2 * n_servers) behavior actor outputs: ``logits``
-    # on ``actor_obs``, which drove the query bits and, for a one-phase
-    # policy, the dispatch; ``dispatch_logits`` on ``actor_obs_refreshed``,
-    # which drove a two-phase policy's dispatch (None for one-phase).
-    # ``log_probs`` is computed from them.
-    logits: Optional[np.ndarray] = None
-    dispatch_logits: Optional[np.ndarray] = None
 
     @property
     def length(self) -> int:
@@ -325,9 +309,9 @@ def collect_rollout(
 
     Episodes that hit the horizon inside the rollout are bootstrapped with
     the critic's value of the truncated state and the env is reset in place.
-    Each slot encodes straight into the buffer and keeps the actor logits;
-    the behavior log-probs are computed from them once, after the last
-    slot.
+    Each slot encodes straight into the buffer and keeps the actor logits
+    (two-phase: also the dispatch-phase logits); the behavior log-probs are
+    computed from them once, after the last slot.
     """
     cfg = env.config
     two_phase = train_config.two_phase_policy
@@ -391,8 +375,6 @@ def collect_rollout(
         end_values=end_values,
         bootstrap_value=bootstrap,
         actor_obs_refreshed=actor_obs_refreshed,
-        logits=logits,
-        dispatch_logits=dispatch_logits,
     )
 
 

@@ -268,18 +268,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _clamp(logits: np.ndarray) -> np.ndarray:
-    # np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP) without its Python-level dispatch
-    return np.minimum(np.maximum(logits, -LOGIT_CLAMP), LOGIT_CLAMP)
-
-
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of clamped logits. The ufunc reductions are what
-    ``max``/``sum`` call, without their Python wrappers."""
-    u = z - np.maximum.reduce(z, axis=1, keepdims=True)
-    return u - np.log(np.add.reduce(np.exp(u), axis=1, keepdims=True))
-
-
 class PolicyHeads:
     """Factorized action distribution over query bits and a dispatch choice.
 
@@ -288,9 +276,9 @@ class PolicyHeads:
     samples where a job arrived: without an arrival it contributes neither
     log-probability nor entropy, and the sampled target is -1.
 
-    The logits are clamped on construction; probabilities are computed on
-    first use. Sampling reads the query probabilities and the dispatch
-    distribution of the rows with an arrival only.
+    The logits are clamped on construction; probabilities, log-probabilities
+    and the clamp mask are computed on first use, so sampling computes only
+    the two distributions it reads.
     """
 
     def __init__(self, logits: np.ndarray, n_servers: int):
@@ -301,7 +289,7 @@ class PolicyHeads:
             raise ValueError(f"expected (batch, {2 * n_servers}) logits, got {logits.shape}")
         self.n_servers = n_servers
         self.raw = logits
-        self._z = _clamp(logits)
+        self._z = np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)
 
     @functools.cached_property
     def query_probs(self) -> np.ndarray:
@@ -309,7 +297,9 @@ class PolicyHeads:
 
     @functools.cached_property
     def _log_dispatch(self) -> np.ndarray:
-        return _log_softmax(self._z[:, self.n_servers :])
+        du = self._z[:, self.n_servers :]
+        du = du - du.max(axis=1, keepdims=True)
+        return du - np.log(np.exp(du).sum(axis=1, keepdims=True))
 
     @functools.cached_property
     def dispatch_probs(self) -> np.ndarray:
@@ -318,10 +308,6 @@ class PolicyHeads:
     @functools.cached_property
     def _clamp_mask(self) -> np.ndarray:
         return (np.abs(self.raw) <= LOGIT_CLAMP).astype(np.float64)
-
-    def _dispatch_probs_of(self, rows: np.ndarray) -> np.ndarray:
-        """Rows ``rows`` of :attr:`dispatch_probs`, computed for those rows only."""
-        return np.exp(_log_softmax(self._z[rows, self.n_servers :]))
 
     @property
     def batch(self) -> int:
@@ -347,9 +333,9 @@ class PolicyHeads:
         dispatch = np.full(self.batch, -1, dtype=np.int64)
         rows = np.asarray(arrivals).nonzero()[0]
         if rows.size:
-            cdf = self._dispatch_probs_of(rows).cumsum(axis=1)
+            cdf = self.dispatch_probs[rows].cumsum(axis=1)
             cdf[:, -1] = 1.0
-            dispatch[rows] = np.add.reduce(cdf <= rng.random(rows.size)[:, None], axis=1)
+            dispatch[rows] = (cdf <= rng.random(rows.size)[:, None]).sum(axis=1)
         return dispatch
 
     def sample(
@@ -364,7 +350,7 @@ class PolicyHeads:
     def greedy_dispatch(self, arrivals: Sequence[bool]) -> np.ndarray:
         dispatch = np.full(self.batch, -1, dtype=np.int64)
         rows = np.asarray(arrivals).nonzero()[0]
-        dispatch[rows] = self._dispatch_probs_of(rows).argmax(axis=1)
+        dispatch[rows] = self.dispatch_probs[rows].argmax(axis=1)
         return dispatch
 
     def greedy(self, arrivals: Sequence[bool]) -> tuple[np.ndarray, np.ndarray]:

@@ -235,10 +235,8 @@ class TestCollectRollout:
             trainer.env, trainer.actors, trainer.critic, train_cfg,
             np.random.default_rng(1), trainer.normalizer,
         )
-        assert buf.dispatch_logits is None
         for t in range(buf.length):
             heads = trainer.actors.heads(buf.actor_obs[t])
-            assert np.array_equal(heads.raw, buf.logits[t])
             lp = heads.log_prob(buf.query_bits[t], buf.dispatch[t])
             assert np.array_equal(lp, buf.log_probs[t])
 
@@ -255,8 +253,6 @@ class TestCollectRollout:
         for t in range(buf.length):
             heads = trainer.actors.heads(buf.actor_obs[t])
             dispatch_heads = trainer.actors.heads(buf.actor_obs_refreshed[t])
-            assert np.array_equal(heads.raw, buf.logits[t])
-            assert np.array_equal(dispatch_heads.raw, buf.dispatch_logits[t])
             lp = heads.log_prob_queries(buf.query_bits[t]) + dispatch_heads.log_prob_dispatch(
                 buf.dispatch[t]
             )
