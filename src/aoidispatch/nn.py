@@ -289,7 +289,9 @@ class PolicyHeads:
             raise ValueError(f"expected (batch, {2 * n_servers}) logits, got {logits.shape}")
         self.n_servers = n_servers
         self.raw = logits
-        self._z = np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)
+        # the values of np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP); np.clip's
+        # Python-level dispatch measured 4% of a rollout slot
+        self._z = np.minimum(np.maximum(logits, -LOGIT_CLAMP), LOGIT_CLAMP)
 
     @functools.cached_property
     def query_probs(self) -> np.ndarray:
