@@ -63,14 +63,12 @@ def encode_actor_batch(
 def encode_critic_state(world: WorldState, config: EnvConfig) -> np.ndarray:
     """Full-state critic input: true availabilities, true normalized queue
     lengths, and the normalized age matrix of every dispatcher."""
-    out = np.empty(critic_state_dim(config))
-    ages = _encode_world(out, world, config)
-    np.divide(np.minimum(world.knowledge.aoi, config.aoi_cap), float(config.aoi_cap), out=ages)
-    return out
-
-
-# The parts of the two encodings, each written into a slice of a
-# preallocated array: a rollout encodes straight into its buffer.
+    cap = config.aoi_cap
+    return np.concatenate((
+        world.available,
+        world.length / config.queue_capacity,
+        (np.minimum(world.knowledge.aoi, cap) / float(cap)).ravel(),
+    ))
 
 
 def _encode_ids(out: np.ndarray, config: EnvConfig, parameter_sharing: bool) -> None:
@@ -80,26 +78,12 @@ def _encode_ids(out: np.ndarray, config: EnvConfig, parameter_sharing: bool) -> 
         out[..., 3 * config.n_servers :] = np.eye(config.n_dispatchers)
 
 
-def _encode_servers(out: np.ndarray, knowledge: Knowledge, config: EnvConfig) -> np.ndarray:
-    """Write the per-server triples of :func:`encode_actor_batch` into
-    ``out``; returns the ``(n_dispatchers, n_servers)`` age columns, a view
-    of ``out``."""
+def _encode_servers(out: np.ndarray, knowledge: Knowledge, config: EnvConfig) -> None:
+    """Write the per-server triples of :func:`encode_actor_batch` into ``out``."""
     k3 = 3 * config.n_servers
     out[:, 0:k3:3] = knowledge.seen_available
     np.divide(knowledge.seen_queue, config.queue_capacity, out=out[:, 1:k3:3])
-    ages = out[:, 2:k3:3]
-    np.divide(np.minimum(knowledge.aoi, config.aoi_cap), float(config.aoi_cap), out=ages)
-    return ages
-
-
-def _encode_world(out: np.ndarray, world: WorldState, config: EnvConfig) -> np.ndarray:
-    """Write the availabilities and normalized queue lengths of
-    :func:`encode_critic_state` into ``out``; returns its age block as an
-    ``(n_dispatchers, n_servers)`` view, for the caller to fill."""
-    k = config.n_servers
-    out[:k] = world.available
-    np.divide(world.length, config.queue_capacity, out=out[k : 2 * k])
-    return out[2 * k :].reshape(config.n_dispatchers, k)
+    np.divide(np.minimum(knowledge.aoi, config.aoi_cap), float(config.aoi_cap), out=out[:, 2:k3:3])
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +293,10 @@ def collect_rollout(
 
     Episodes that hit the horizon inside the rollout are bootstrapped with
     the critic's value of the truncated state and the env is reset in place.
-    Each slot encodes straight into the buffer and keeps the actor logits
-    (two-phase: also the dispatch-phase logits); the behavior log-probs are
-    computed from them once, after the last slot.
+    Each slot encodes the actor observations straight into the buffer and
+    keeps the actor logits (two-phase: also the dispatch-phase logits). The
+    critic states and the behavior log-probs, which no slot reads, are
+    completed once, after the last slot.
     """
     cfg = env.config
     two_phase = train_config.two_phase_policy
@@ -329,8 +314,9 @@ def collect_rollout(
     end_states: list[tuple[int, np.ndarray]] = []
 
     for t in range(length):
-        ages = _encode_servers(actor_obs[t], env.knowledge, cfg)
-        _encode_world(states[t], env.world, cfg)[...] = ages  # the ages just encoded
+        _encode_servers(actor_obs[t], env.knowledge, cfg)
+        states[t, :k] = env.world.available
+        states[t, k : 2 * k] = env.world.length  # normalized after the loop
         bits, disp, slot_logits, slot_dispatch_logits = select_actions(
             actors, env, actor_obs[t], actor_obs_refreshed[t] if two_phase else None, rng
         )
@@ -344,6 +330,11 @@ def collect_rollout(
             episode_ends[t] = True
             end_states.append((t, encode_critic_state(env.world, cfg)))
             env.reset()
+
+    # the rest of the critic state of every slot: queue fill, and the ages
+    # the actors saw
+    states[:, k : 2 * k] /= cfg.queue_capacity
+    states[:, 2 * k :] = actor_obs[:, :, 2 : 3 * k : 3].reshape(length, n * k)
 
     query_heads = PolicyHeads(logits.reshape(length * n, 2 * k), k)
     dispatch_heads = (
