@@ -37,12 +37,6 @@ class BaselineKind:
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError("query probability must lie in [0, 1]")
 
-    @property
-    def name(self) -> str:
-        if self.variant == RANDOM:
-            return f"random:{self.p:g}"
-        return self.variant
-
 
 def baseline_queries(
     kind: BaselineKind, n_dispatchers: int, n_servers: int, rng: np.random.Generator
@@ -89,10 +83,6 @@ class BaselinePolicy:
     def __init__(self, kind: BaselineKind):
         self.kind = kind
         self._rng: Optional[np.random.Generator] = None
-
-    @property
-    def name(self) -> str:
-        return self.kind.name
 
     def begin_episode(self, rng: np.random.Generator) -> None:
         self._rng = rng

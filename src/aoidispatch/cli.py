@@ -18,7 +18,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .baselines import BaselineKind, BaselinePolicy, parse_policy_spec
 from .config import (
     EnvConfig,
     TrainConfig,
@@ -26,6 +25,7 @@ from .config import (
     config_as_dict,
     env_config_from_dict,
     load_config_dict,
+    reject_seed,
     split_config_dict,
 )
 from .env import DispatchEnv
@@ -33,23 +33,12 @@ from .errors import ConfigError
 from .mappo import Trainer, check_checkpoint_dimensions, evaluate, load_policy
 from .records import FORMATS, write_records
 from .selftest import run_all
-from .sweep import SweepSpec, run_sweep
+from .sweep import SweepSpec, resolve_policy, run_sweep
 
 
 def _load_merged_dict(config_path: Optional[str], overrides: list[str]) -> dict[str, Any]:
     base = load_config_dict(config_path) if config_path else {}
     return apply_overrides(base, overrides)
-
-
-def _resolve_policy(spec: str, env_config: EnvConfig):
-    parsed = parse_policy_spec(spec)
-    if isinstance(parsed, BaselineKind):
-        return BaselinePolicy(parsed)
-    if parsed == "train":
-        raise ConfigError("mappo:train is only valid inside a sweep; pass a checkpoint path")
-    policy, trained_on = load_policy(parsed)
-    check_checkpoint_dimensions(parsed, trained_on, env_config)
-    return policy
 
 
 def _trajectory_records(env: DispatchEnv, policy, slots: int):
@@ -115,7 +104,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         env_config = replace(env_config, seed=args.seed)
     env = DispatchEnv(env_config)
-    policy = _resolve_policy(args.policy, env_config)
+    policy = resolve_policy(args.policy, env_config)
     slots = args.slots if args.slots is not None else env_config.horizon
     path = Path(args.out_dir) / f"trajectory.{args.format}"
     records = _trajectory_records(env, policy, slots)
@@ -134,6 +123,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         trainer = Trainer.from_checkpoint(args.resume, out_dir=out_dir)
     else:
         data = _load_merged_dict(args.config, args.set)
+        reject_seed(data, "--seed")
         env_kwargs, train_kwargs = split_config_dict(data)
         if args.updates is not None:
             train_kwargs["total_updates"] = args.updates
@@ -156,6 +146,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     policy, trained_on = load_policy(args.checkpoint, greedy=(args.mode == "greedy"))
     data = _load_merged_dict(args.config, args.set)
+    reject_seed(data, "--seed")
     if data:
         # user keys overlay the env config stored in the checkpoint
         env_config = env_config_from_dict({**config_as_dict(trained_on), **data})

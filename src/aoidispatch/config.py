@@ -43,6 +43,15 @@ def _as_bool(value: Any, name: str) -> bool:
     return value
 
 
+def _convert_typed_fields(config) -> None:
+    """Convert every field of a frozen config annotated ``float``, ``int`` or
+    ``bool`` in place; annotations are strings under postponed evaluation."""
+    for f in fields(config):
+        conv = {"float": _as_float, "int": _as_int, "bool": _as_bool}.get(f.type)
+        if conv is not None:
+            object.__setattr__(config, f.name, conv(getattr(config, f.name), f.name))
+
+
 def _per_entity(value: Any, count: int, name: str, conv) -> tuple:
     """Broadcast a scalar or check a per-entity sequence against ``count``."""
     if isinstance(value, (list, tuple)):
@@ -82,25 +91,18 @@ class EnvConfig:
     drop_newest: bool = False
 
     def __post_init__(self) -> None:
-        set_ = object.__setattr__
-        set_(self, "n_dispatchers", _as_int(self.n_dispatchers, "n_dispatchers"))
-        set_(self, "n_servers", _as_int(self.n_servers, "n_servers"))
+        _convert_typed_fields(self)
         if self.n_dispatchers < 1:
             raise ConfigError("n_dispatchers must be >= 1")
         if self.n_servers < 1:
             raise ConfigError("n_servers must be >= 1")
         n, k = self.n_dispatchers, self.n_servers
 
+        set_ = object.__setattr__
         set_(self, "arrival_prob", _per_entity(self.arrival_prob, n, "arrival_prob", _as_float))
         set_(self, "stay_available", _per_entity(self.stay_available, k, "stay_available", _as_float))
         set_(self, "stay_unavailable", _per_entity(self.stay_unavailable, k, "stay_unavailable", _as_float))
         set_(self, "queue_capacity", _per_entity(self.queue_capacity, k, "queue_capacity", _as_int))
-        set_(self, "query_cost", _as_float(self.query_cost, "query_cost"))
-        set_(self, "horizon", _as_int(self.horizon, "horizon"))
-        set_(self, "seed", _as_int(self.seed, "seed"))
-        set_(self, "aoi_cap", _as_int(self.aoi_cap, "aoi_cap"))
-        set_(self, "report_post_service", _as_bool(self.report_post_service, "report_post_service"))
-        set_(self, "drop_newest", _as_bool(self.drop_newest, "drop_newest"))
 
         for lam in self.arrival_prob:
             if not 0.0 <= lam <= 1.0:
@@ -154,14 +156,10 @@ class TrainConfig:
     two_phase_policy: bool = False
 
     def __post_init__(self) -> None:
-        set_ = object.__setattr__
-        for f in fields(self):  # annotations are strings under postponed evaluation
-            conv = {"float": _as_float, "int": _as_int, "bool": _as_bool}.get(f.type)
-            if conv is not None:
-                set_(self, f.name, conv(getattr(self, f.name), f.name))
+        _convert_typed_fields(self)
         hidden = self.hidden_sizes  # a scalar is one layer: key = value text has no 1-lists
         hidden = hidden if isinstance(hidden, (list, tuple)) else (hidden,)
-        set_(self, "hidden_sizes", tuple(_as_int(h, "hidden_sizes") for h in hidden))
+        object.__setattr__(self, "hidden_sizes", tuple(_as_int(h, "hidden_sizes") for h in hidden))
         if self.clip_epsilon <= 0.0:
             raise ConfigError("clip_epsilon must be > 0")
         if self.value_coef <= 0.0 or self.entropy_coef <= 0.0:
@@ -278,6 +276,13 @@ def env_config_from_dict(data: dict[str, Any]) -> EnvConfig:
     if train_kwargs:
         raise ConfigError(f"training keys have no effect here: {', '.join(sorted(train_kwargs))}")
     return EnvConfig(**env_kwargs)
+
+
+def reject_seed(data: dict[str, Any], instead: str) -> None:
+    """Reject a ``seed`` key where every env seed derives from another seed,
+    pointing to ``instead``."""
+    if "seed" in data:
+        raise ConfigError(f"seed has no effect here: episodes are seeded from {instead}")
 
 
 def train_config_from_dict(data: dict[str, Any]) -> TrainConfig:

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import EnvConfig, TrainConfig, config_as_dict
+from .config import EnvConfig, TrainConfig, _as_int, config_as_dict
 from .env import DispatchEnv, JointAction, Knowledge, WorldState, dispatch_targets
 from .errors import ConfigError, ContractViolation
 from .nn import Adam, DenseNet, PolicyHeads, one_blas_thread
@@ -93,13 +93,16 @@ def _encode_servers(out: np.ndarray, knowledge: Knowledge, config: EnvConfig) ->
 class ActorGroup:
     """The dispatcher policies: one net whose members are either a single
     actor shared by all dispatchers or one actor per dispatcher. ``rng`` None
-    leaves the net at zero for a checkpoint to fill (see :class:`DenseNet`)."""
+    leaves the net at zero for a checkpoint to fill (see :class:`DenseNet`).
+    ``two_phase`` is ``train_config.two_phase_policy``: the dispatch head
+    conditions on the knowledge overlaid with the slot's query answers."""
 
     def __init__(
         self, env_config: EnvConfig, train_config: TrainConfig, rng: Optional[np.random.Generator]
     ):
         self.env_config = env_config
         self.shared = train_config.parameter_sharing
+        self.two_phase = train_config.two_phase_policy
         self.obs_dim = actor_obs_dim(env_config, self.shared)
         out_dim = 2 * env_config.n_servers
         sizes = (self.obs_dim, *train_config.hidden_sizes, out_dim)
@@ -152,23 +155,14 @@ class MappoPolicy:
     """Decentralized execution of trained actors (the critic is not used).
 
     Actions are sampled from the stochastic policy as trained; ``greedy``
-    takes each head's mode instead. :meth:`act` encodes into observation
-    arrays the policy keeps per env config, so one instance serves one
-    caller at a time.
+    takes each head's mode instead. The env dimensions and the phase come
+    from ``actors``. :meth:`act` encodes into observation arrays the policy
+    keeps per env config, so one instance serves one caller at a time.
     """
 
-    def __init__(
-        self,
-        actors: ActorGroup,
-        env_config: EnvConfig,
-        greedy: bool = False,
-        two_phase: bool = False,
-    ):
+    def __init__(self, actors: ActorGroup, greedy: bool = False):
         self.actors = actors
-        self.env_config = env_config
         self.greedy = greedy
-        self.two_phase = two_phase
-        self.name = "mappo"
         self._rng = np.random.default_rng(0)
         # the env config the observation buffers were set up for
         self._config: Optional[EnvConfig] = None
@@ -180,13 +174,14 @@ class MappoPolicy:
     def act(self, env: DispatchEnv) -> JointAction:
         cfg = env.config
         if cfg is not self._config:
-            if (cfg.n_dispatchers, cfg.n_servers) != (self.env_config.n_dispatchers, self.env_config.n_servers):
+            trained = self.actors.env_config
+            if (cfg.n_dispatchers, cfg.n_servers) != (trained.n_dispatchers, trained.n_servers):
                 raise ConfigError(
                     "environment dimensions do not match the dimensions this policy was trained for"
                 )
             self._obs = np.empty((cfg.n_dispatchers, self.actors.obs_dim))
             _encode_ids(self._obs, cfg, self.actors.shared)
-            self._dispatch_obs = self._obs.copy() if self.two_phase else None
+            self._dispatch_obs = self._obs.copy() if self.actors.two_phase else None
             self._config = cfg
         _encode_servers(self._obs, env.knowledge, cfg)
         rng = None if self.greedy else self._rng
@@ -299,7 +294,7 @@ def collect_rollout(
     completed once, after the last slot.
     """
     cfg = env.config
-    two_phase = train_config.two_phase_policy
+    two_phase = actors.two_phase
     length, n, k = train_config.rollout_length, cfg.n_dispatchers, cfg.n_servers
     actor_obs = np.empty((length, n, actors.obs_dim))
     _encode_ids(actor_obs, cfg, actors.shared)
@@ -545,7 +540,7 @@ def mappo_update(
     if buffer.advantages is None or buffer.returns is None:
         raise ContractViolation("compute_gae must run before mappo_update")
     cfg = train_config
-    two_phase = cfg.two_phase_policy
+    two_phase = actors.two_phase
     if two_phase and buffer.actor_obs_refreshed is None:
         raise ContractViolation("two-phase update needs the refreshed observations in the buffer")
     length, n_agents = buffer.length, buffer.n_agents
@@ -690,7 +685,8 @@ def evaluate(policy, env_config: EnvConfig, episodes: int, seed: int) -> EvalSta
     """Run full decentralized episodes and average the team reward per slot.
 
     Works for any policy exposing ``begin_episode(rng)`` and ``act(env)``;
-    the critic plays no role here. Episode seeds derive from ``seed`` so a
+    the critic plays no role here. Every episode's env seed and policy
+    stream derive from ``seed`` (``env_config.seed`` is not read), so a
     rerun reproduces results exactly.
     """
     if episodes < 1:
@@ -727,46 +723,11 @@ def evaluate(policy, env_config: EnvConfig, episodes: int, seed: int) -> EvalSta
 # checkpoints
 
 
-def save_checkpoint(
-    path: str | Path,
-    actors: ActorGroup,
-    critic: DenseNet,
-    env_config: EnvConfig,
-    train_config: TrainConfig,
-    update_index: int,
-    seed: int,
-    actor_opt: Optional[Adam] = None,
-    critic_opt: Optional[Adam] = None,
-    normalizer: Optional[ValueNormalizer] = None,
-) -> Path:
-    """Versioned binary dump of networks, optimizer state, and configs; actor
-    member ``i`` under ``actor{i}_`` keys."""
-    path = Path(path)
-    meta = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "env_config": config_as_dict(env_config),
-        "train_config": config_as_dict(train_config),
-        "update_index": update_index,
-        "seed": seed,
-        "n_actor_nets": actors.net.members,
-        "actor_layer_sizes": list(actors.net.layer_sizes),
-        "critic_layer_sizes": list(critic.layer_sizes),
-        "has_optimizer": actor_opt is not None and critic_opt is not None,
-        "has_normalizer": normalizer is not None,
-    }
-    arrays = {**actors.net.state_arrays("actor{}_"), **critic.state_arrays("critic_")}
-    if actor_opt is not None and critic_opt is not None:
-        arrays.update(actor_opt.state_arrays("actor{}_opt_"))
-        arrays.update(critic_opt.state_arrays("critic_opt_"))
-    if normalizer is not None:
-        arrays.update(normalizer.state_arrays("vnorm_"))
-    with atomic_write(path, "wb") as fh:
-        np.savez_compressed(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-    return path
-
-
 @dataclass
 class CheckpointBundle:
+    """A training state: what a checkpoint stores, and what a
+    :class:`Trainer` starts from."""
+
     env_config: EnvConfig
     train_config: TrainConfig
     update_index: int
@@ -778,15 +739,75 @@ class CheckpointBundle:
     normalizer: Optional[ValueNormalizer]
 
 
-def _optimizers(actor: DenseNet, critic: DenseNet, train_config: TrainConfig) -> tuple[Adam, Adam]:
+def _new_state(
+    env_config: EnvConfig, train_config: TrainConfig, seed: int, rng: Optional[np.random.Generator]
+) -> CheckpointBundle:
+    """The state at update 0: actors, then the critic, drawn from ``rng``
+    (at zero with ``rng`` None, for a checkpoint's arrays to fill), fresh
+    optimizers, and a value normalizer if ``normalize_values``."""
+    actors = ActorGroup(env_config, train_config, rng)
+    critic_sizes = (critic_state_dim(env_config), *train_config.hidden_sizes, 1)
+    critic = DenseNet(critic_sizes, rng, out_gain=1.0)
     lr, clip = train_config.learning_rate, train_config.max_grad_norm
-    return (
-        Adam(actor.params, lr, max_grad_norm=clip, members=actor.members),
-        Adam(critic.params, lr, max_grad_norm=clip),
+    return CheckpointBundle(
+        env_config=env_config,
+        train_config=train_config,
+        update_index=0,
+        seed=seed,
+        actors=actors,
+        critic=critic,
+        actor_opt=Adam(actors.net.params, lr, max_grad_norm=clip, members=actors.net.members),
+        critic_opt=Adam(critic.params, lr, max_grad_norm=clip),
+        normalizer=ValueNormalizer() if train_config.normalize_values else None,
     )
 
 
+def save_checkpoint(path: str | Path, state: CheckpointBundle) -> Path:
+    """Versioned binary dump of networks, optimizer state, and configs; actor
+    member ``i`` under ``actor{i}_`` keys."""
+    path = Path(path)
+    has_optimizer = state.actor_opt is not None and state.critic_opt is not None
+    meta = {
+        "format_version": CHECKPOINT_FORMAT_VERSION,
+        "env_config": config_as_dict(state.env_config),
+        "train_config": config_as_dict(state.train_config),
+        "update_index": state.update_index,
+        "seed": state.seed,
+        "n_actor_nets": state.actors.net.members,
+        "actor_layer_sizes": list(state.actors.net.layer_sizes),
+        "critic_layer_sizes": list(state.critic.layer_sizes),
+        "has_optimizer": has_optimizer,
+        "has_normalizer": state.normalizer is not None,
+    }
+    arrays = {**state.actors.net.state_arrays("actor{}_"), **state.critic.state_arrays("critic_")}
+    if has_optimizer:
+        arrays.update(state.actor_opt.state_arrays("actor{}_opt_"))
+        arrays.update(state.critic_opt.state_arrays("critic_opt_"))
+    if state.normalizer is not None:
+        arrays.update(state.normalizer.state_arrays("vnorm_"))
+    with atomic_write(path, "wb") as fh:
+        np.savez_compressed(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    return path
+
+
+def _stored_config(meta: dict, section: str, cls, retired: str):
+    """The ``cls`` config stored under ``meta[section]``, less the
+    ``retired`` field older checkpoints carry."""
+    data = meta.get(section)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section} is not an object")
+    data.pop(retired, None)
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {section} keys {sorted(unknown)}")
+    return cls(**data)
+
+
 def load_checkpoint(path: str | Path) -> CheckpointBundle:
+    """The training state :func:`save_checkpoint` wrote to ``path``. The
+    nets are built from the stored configs with no initialization draw, and
+    every stored array must have the shape its net or optimizer expects.
+    Anything else raises a :class:`ConfigError` naming the file."""
     path = Path(path)
     try:
         with np.load(path) as data:
@@ -800,47 +821,34 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         raise ConfigError(
             f"checkpoint {path} has format version {version}, expected {CHECKPOINT_FORMAT_VERSION}"
         )
-    for section, retired in (("env_config", "discount"), ("train_config", "greedy_eval")):
-        meta[section].pop(retired, None)  # removed fields that older checkpoints carry
-    env_config = EnvConfig(**meta["env_config"])
-    train_config = TrainConfig(**meta["train_config"])
-    # nets built without an initialization draw: the arrays replace it
-    actors = ActorGroup(env_config, train_config, None)
-    actors.net.load_state_arrays("actor{}_", arrays)
-    critic = DenseNet(tuple(meta["critic_layer_sizes"]), None)
-    critic.load_state_arrays("critic_", arrays)
-    actor_opt = critic_opt = None
-    if meta.get("has_optimizer"):
-        actor_opt, critic_opt = _optimizers(actors.net, critic, train_config)
-        actor_opt.load_state_arrays("actor{}_opt_", arrays)
-        critic_opt.load_state_arrays("critic_opt_", arrays)
-    normalizer = None
-    if meta.get("has_normalizer"):
-        normalizer = ValueNormalizer()
-        normalizer.load_state_arrays("vnorm_", arrays)
-    return CheckpointBundle(
-        env_config=env_config,
-        train_config=train_config,
-        update_index=int(meta["update_index"]),
-        seed=int(meta["seed"]),
-        actors=actors,
-        critic=critic,
-        actor_opt=actor_opt,
-        critic_opt=critic_opt,
-        normalizer=normalizer,
-    )
+    try:
+        state = _new_state(
+            _stored_config(meta, "env_config", EnvConfig, "discount"),
+            _stored_config(meta, "train_config", TrainConfig, "greedy_eval"),
+            _as_int(meta["seed"], "seed"),
+            None,
+        )
+        state.update_index = _as_int(meta["update_index"], "update_index")
+        state.actors.net.load_state_arrays("actor{}_", arrays)
+        state.critic.load_state_arrays("critic_", arrays)
+        if meta.get("has_optimizer"):
+            state.actor_opt.load_state_arrays("actor{}_opt_", arrays)
+            state.critic_opt.load_state_arrays("critic_opt_", arrays)
+        else:
+            state.actor_opt = state.critic_opt = None
+        state.normalizer = ValueNormalizer() if meta.get("has_normalizer") else None
+        if state.normalizer is not None:
+            state.normalizer.load_state_arrays("vnorm_", arrays)
+    except (ConfigError, KeyError, ValueError) as exc:
+        # a missing array or meta key, a bad config section, or a shape mismatch
+        raise ConfigError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc
+    return state
 
 
 def load_policy(path: str | Path, greedy: bool = False) -> tuple[MappoPolicy, EnvConfig]:
     """Evaluation-only load: actors plus the env config they were trained on."""
     bundle = load_checkpoint(path)
-    policy = MappoPolicy(
-        bundle.actors,
-        bundle.env_config,
-        greedy=greedy,
-        two_phase=bundle.train_config.two_phase_policy,
-    )
-    return policy, bundle.env_config
+    return MappoPolicy(bundle.actors, greedy=greedy), bundle.env_config
 
 
 def check_checkpoint_dimensions(checkpoint, trained_on: EnvConfig, requested: EnvConfig) -> None:
@@ -865,7 +873,9 @@ class Trainer:
     :meth:`train`) and a checkpoint every ``eval_interval`` updates plus a
     final one. Resuming restores networks, optimizers, and the value
     normalizer; environment episodes restart fresh (the world itself is not
-    serialized).
+    serialized). The initialization draw, the env seed, and the sampling,
+    shuffling and evaluation streams all derive from ``seed``;
+    ``env_config.seed`` is not read.
 
     Each update (rollout, GAE and PPO epochs) runs with every loaded OpenBLAS
     on one thread, and the caller's thread counts are back in place when
@@ -881,15 +891,7 @@ class Trainer:
         out_dir: Optional[str | Path] = None,
     ):
         init_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        actors = ActorGroup(env_config, train_config, init_rng)
-        critic_sizes = (critic_state_dim(env_config), *train_config.hidden_sizes, 1)
-        critic = DenseNet(critic_sizes, init_rng, out_gain=1.0)
-        actor_opt, critic_opt = _optimizers(actors.net, critic, train_config)
-        normalizer = ValueNormalizer() if train_config.normalize_values else None
-        fresh = CheckpointBundle(
-            env_config, train_config, 0, seed, actors, critic, actor_opt, critic_opt, normalizer
-        )
-        self._start(fresh, out_dir)
+        self._start(_new_state(env_config, train_config, seed, init_rng), out_dir)
 
     def _start(self, state: CheckpointBundle, out_dir: Optional[str | Path]) -> None:
         """Take over the networks, optimizers and update count of ``state``
@@ -900,7 +902,6 @@ class Trainer:
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.update_index = state.update_index
         self.actors, self.critic = state.actors, state.critic
-        self._check_dimensions()
         self.actor_opt, self.critic_opt = state.actor_opt, state.critic_opt
         self.normalizer = state.normalizer
 
@@ -909,19 +910,6 @@ class Trainer:
         self._shuffle_rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
         self._eval_seed = _derived_seed(seed, 4)
         self.history: list[dict] = []
-
-    def _check_dimensions(self) -> None:
-        expected_actor = actor_obs_dim(self.env_config, self.train_config.parameter_sharing)
-        expected_critic = critic_state_dim(self.env_config)
-        if self.actors.net.layer_sizes[0] != expected_actor:
-            raise ConfigError(
-                f"actor input size {self.actors.net.layer_sizes[0]} != "
-                f"local observation size {expected_actor}"
-            )
-        if self.critic.layer_sizes[0] != expected_critic:
-            raise ConfigError(
-                f"critic input size {self.critic.layer_sizes[0]} != full state size {expected_critic}"
-            )
 
     @classmethod
     def from_checkpoint(
@@ -935,26 +923,13 @@ class Trainer:
         return trainer
 
     def policy(self, greedy: bool = False) -> MappoPolicy:
-        return MappoPolicy(
-            self.actors,
-            self.env_config,
-            greedy=greedy,
-            two_phase=self.train_config.two_phase_policy,
-        )
+        return MappoPolicy(self.actors, greedy=greedy)
 
     def save(self, path: str | Path) -> Path:
-        return save_checkpoint(
-            path,
-            self.actors,
-            self.critic,
-            self.env_config,
-            self.train_config,
-            self.update_index,
-            self.seed,
-            actor_opt=self.actor_opt,
-            critic_opt=self.critic_opt,
-            normalizer=self.normalizer,
-        )
+        return save_checkpoint(path, CheckpointBundle(
+            self.env_config, self.train_config, self.update_index, self.seed,
+            self.actors, self.critic, self.actor_opt, self.critic_opt, self.normalizer,
+        ))
 
     def run_update(self) -> UpdateStats:
         """One rollout, GAE and PPO update, on one BLAS thread (see

@@ -235,15 +235,15 @@ class DenseNet:
                 grad = grad @ self.weights[i].swapaxes(1, 2)
         return grads
 
-    def state_arrays(self, prefix: str) -> dict[str, np.ndarray]:
+    def _named_params(self) -> dict[str, np.ndarray]:
         names = [f"{kind}{i}" for i in range(len(self.weights)) for kind in "Wb"]
-        return _member_slices(prefix, self.members, dict(zip(names, self.params)))
+        return dict(zip(names, self.params))
+
+    def state_arrays(self, prefix: str) -> dict[str, np.ndarray]:
+        return _member_slices(prefix, self.members, self._named_params())
 
     def load_state_arrays(self, prefix: str, arrays) -> None:
-        names = [f"{kind}{i}" for i in range(len(self.weights)) for kind in "Wb"]
-        params = _stacked_members(prefix, self.members, names, arrays)
-        if [p.shape for p in params] != [p.shape for p in self.params]:
-            raise ValueError("checkpoint parameter shapes do not match the net")
+        params = _stacked_members(prefix, self.members, self._named_params(), arrays)
         self.weights, self.biases = params[0::2], params[1::2]
         self._cache = None
 
@@ -254,10 +254,15 @@ def _member_slices(prefix: str, members: int, named: dict[str, np.ndarray]) -> d
     return {f"{prefix.format(k)}{name}": a[k] for k in range(members) for name, a in named.items()}
 
 
-def _stacked_members(prefix: str, members: int, names: Sequence[str], arrays) -> list[np.ndarray]:
-    """The named arrays :func:`_member_slices` wrote, stacked on the member
-    axis again."""
-    return [np.stack([arrays[f"{prefix.format(k)}{name}"] for k in range(members)]) for name in names]
+def _stacked_members(prefix: str, members: int, named: dict[str, np.ndarray], arrays) -> list[np.ndarray]:
+    """The arrays :func:`_member_slices` wrote for ``named``, stacked on the
+    member axis again. Raises KeyError for a missing array and ValueError
+    unless each has the shape of its counterpart in ``named``."""
+    stacked = [np.stack([arrays[f"{prefix.format(k)}{name}"] for k in range(members)]) for name in named]
+    for name, new, old in zip(named, stacked, named.values()):
+        if new.shape != old.shape:
+            raise ValueError(f"{prefix.format('*')}{name} has shape {new.shape[1:]}, expected {old.shape[1:]}")
+    return stacked
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -530,16 +535,18 @@ class Adam:
         self.t += stepped
         return stepped
 
-    def state_arrays(self, prefix: str) -> dict[str, np.ndarray]:
+    def _named_state(self) -> dict[str, np.ndarray]:
         named = {"t": self.t}
         for i, (m, v) in enumerate(zip(self.m, self.v)):
             named[f"m{i}"] = m
             named[f"v{i}"] = v
-        return _member_slices(prefix, self.members, named)
+        return named
+
+    def state_arrays(self, prefix: str) -> dict[str, np.ndarray]:
+        return _member_slices(prefix, self.members, self._named_state())
 
     def load_state_arrays(self, prefix: str, arrays) -> None:
-        names = [f"{kind}{i}" for i in range(len(self.m)) for kind in "mv"]
-        self.t, *moments = _stacked_members(prefix, self.members, ["t", *names], arrays)
+        self.t, *moments = _stacked_members(prefix, self.members, self._named_state(), arrays)
         self.m, self.v = moments[0::2], moments[1::2]
 
 

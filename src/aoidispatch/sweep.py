@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 from .baselines import BaselineKind, BaselinePolicy, parse_policy_spec
 from .config import (
@@ -28,6 +28,7 @@ from .config import (
     _as_int,
     config_as_dict,
     load_config_dict,
+    reject_seed,
 )
 from .env import DispatchEnv
 from .errors import AccountingError, ConfigError
@@ -138,6 +139,7 @@ class SweepSpec:
             unknown = set(kwargs) - allowed
             if unknown:
                 raise ConfigError(f"unknown {section} keys in sweep spec: {sorted(unknown)}")
+        reject_seed(env_kwargs, "the spec's 'seeds'")
         base_env = EnvConfig(**env_kwargs)
         train = TrainConfig(**train_kwargs)
         return cls(
@@ -191,6 +193,27 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def resolve_policy(
+    spec: str, env_config: EnvConfig, train: Optional[TrainConfig] = None, seed: int = 0
+):
+    """The policy ``spec`` names, to run on ``env_config``: a baseline, the
+    actors of a checkpoint trained for ``env_config``'s dispatcher and server
+    counts, or for ``mappo:train`` actors trained with ``train`` and ``seed``
+    (a sweep cell; without ``train`` it is a :class:`ConfigError`)."""
+    parsed = parse_policy_spec(spec)
+    if isinstance(parsed, BaselineKind):
+        return BaselinePolicy(parsed)
+    if parsed != "train":
+        policy, trained_on = load_policy(parsed)
+        check_checkpoint_dimensions(parsed, trained_on, env_config)
+        return policy
+    if train is None:
+        raise ConfigError("mappo:train is only valid inside a sweep; pass a checkpoint path")
+    trainer = Trainer(env_config, train, seed=seed)
+    trainer.train()
+    return trainer.policy()
+
+
 def _evaluate_cell(
     policy_spec: str,
     env_config: EnvConfig,
@@ -199,18 +222,8 @@ def _evaluate_cell(
     policy_index: int,
     value_index: int,
 ) -> ResultRow:
-    parsed = parse_policy_spec(policy_spec)
-    if isinstance(parsed, BaselineKind):
-        policy = BaselinePolicy(parsed)
-    elif parsed == "train":
-        train_cfg = spec.train
-        trainer = Trainer(env_config, train_cfg, seed=seed)
-        trainer.train()
-        policy = trainer.policy()
-    else:
-        policy, _ = load_policy(parsed)
     stats = evaluate(
-        policy,
+        resolve_policy(policy_spec, env_config, spec.train, seed),
         env_config,
         spec.eval_episodes,
         seed=_derived_seed(seed, policy_index, value_index),

@@ -8,6 +8,7 @@ import multiprocessing
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aoidispatch import (
@@ -640,6 +641,39 @@ class TestCliVerbs:
                    "--set", "learning_rate=5"])
         assert rc == 2
         assert "learning_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["train", "evaluate", "sweep"])
+    def test_seed_key_rejected(self, tmp_path, capsys, verb):
+        # these verbs seed every episode from --seed (a sweep from its
+        # 'seeds'), so an env seed key would be silently ignored
+        if verb == "train":
+            cfg = write_tiny_config(tmp_path / "env.cfg")
+            args = ["train", "--config", str(cfg), "--set", "seed=5", "--updates", "1"]
+        elif verb == "evaluate":
+            trainer = Trainer(EnvConfig(**tiny_env_kwargs()), TrainConfig(hidden_sizes=(8,)), seed=0)
+            ckpt = trainer.save(tmp_path / "ckpt.npz")
+            args = ["evaluate", "--checkpoint", str(ckpt), "--episodes", "1", "--set", "seed=5"]
+        else:
+            spec = tiny_spec_dict(["never"], values=(0.0,), seeds=(0,))
+            spec["env"]["seed"] = 5
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps(spec))
+            args = ["sweep", "--spec", str(spec_path)]
+        assert main([*args, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "seed has no effect" in err
+        assert ("'seeds'" if verb == "sweep" else "--seed") in err
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_checkpoint_fails_cleanly(self, tmp_path, capsys):
+        trainer = Trainer(EnvConfig(**tiny_env_kwargs()), TrainConfig(hidden_sizes=(8,)), seed=0)
+        with np.load(trainer.save(tmp_path / "ckpt.npz")) as data:
+            arrays = {key: data[key] for key in data.files if key != "actor0_W0"}
+        ckpt = tmp_path / "malformed.npz"
+        np.savez_compressed(ckpt, **arrays)
+        rc = main(["evaluate", "--checkpoint", str(ckpt), "--episodes", "1"])
+        assert rc == 2
+        assert f"malformed checkpoint {ckpt}: KeyError" in capsys.readouterr().err
 
     def test_selftest_verb(self):
         assert main(["selftest"]) == 0

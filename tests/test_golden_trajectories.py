@@ -58,7 +58,7 @@ def _policy(name, cfg):
     if name.startswith("mappo"):
         two_phase = name.startswith("mappo2")
         actors = ActorGroup(cfg, TrainConfig(two_phase_policy=two_phase), np.random.default_rng(11))
-        return MappoPolicy(actors, cfg, greedy=name.endswith("greedy"), two_phase=two_phase)
+        return MappoPolicy(actors, greedy=name.endswith("greedy"))
     return BaselinePolicy(parse_policy_spec(name))
 
 

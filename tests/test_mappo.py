@@ -401,12 +401,16 @@ class TestDimensionalityChecks:
         expected = 2 * env_cfg.n_servers + env_cfg.n_dispatchers * env_cfg.n_servers
         assert trainer.critic.layer_sizes[0] == expected
 
-    def test_mismatched_critic_rejected(self):
+    def test_mismatched_critic_rejected(self, tmp_path):
+        # a checkpoint whose critic takes another state size than its env's
         env_cfg, train_cfg = small_setup()
         trainer = Trainer(env_cfg, train_cfg, seed=0)
-        trainer.critic = DenseNet((3, 4, 1), np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            trainer._check_dimensions()
+        trainer.critic = DenseNet((3, 16, 16, 1), np.random.default_rng(0))
+        path = trainer.save(tmp_path / "ckpt.npz")
+        with pytest.raises(ConfigError, match="critic_W0"):
+            load_checkpoint(path)
+        with pytest.raises(ConfigError, match="critic_W0"):
+            Trainer.from_checkpoint(path)
 
     def test_policy_rejects_wrong_environment(self):
         env_cfg, train_cfg = small_setup()
@@ -496,7 +500,7 @@ class TestEvaluate:
         net.weights[-1][:] = 0.0
         net.biases[-1][..., : env_cfg.n_servers] = bias  # query logits
         net.biases[-1][..., env_cfg.n_servers :] = 0.0
-        return MappoPolicy(actors, env_cfg, greedy=False)
+        return MappoPolicy(actors, greedy=False)
 
     def test_never_querying_actor_invariant_to_query_cost(self):
         base = EnvConfig(n_dispatchers=2, n_servers=2, horizon=64, seed=0)
@@ -622,11 +626,31 @@ class TestCheckpoints:
         with pytest.raises(ConfigError):
             load_checkpoint("/nonexistent/path.npz")
 
+    # edits that leave a saved checkpoint a malformed one
+    MALFORMED = {
+        "without-actor0_W0": lambda arrays, meta: arrays.pop("actor0_W0"),
+        "misshaped-critic_W0": lambda arrays, meta: arrays.update(critic_W0=arrays["critic_W0"][1:]),
+        "misshaped-actor0_opt_m0": lambda arrays, meta: arrays.update(
+            actor0_opt_m0=arrays["actor0_opt_m0"][:, 1:]
+        ),
+        "unknown-env-key": lambda arrays, meta: meta["env_config"].update(colour=1),
+        "meta-without-env_config": lambda arrays, meta: meta.pop("env_config"),
+    }
+
     @pytest.mark.parametrize("kind", ["text", "empty", "npy", "npz-without-meta", "truncated",
-                                      "meta-not-object"])
+                                      "meta-not-object", *MALFORMED])
     def test_non_checkpoint_file_rejected(self, tmp_path, kind):
         path = tmp_path / "not_a_checkpoint.npz"
-        if kind == "text":
+        if kind in self.MALFORMED:
+            env_cfg, train_cfg = small_setup()
+            saved = Trainer(env_cfg, train_cfg, seed=0).save(tmp_path / "ckpt.npz")
+            with np.load(saved) as data:
+                arrays = {key: data[key] for key in data.files}
+            meta = json.loads(bytes(arrays.pop("meta")).decode())
+            self.MALFORMED[kind](arrays, meta)
+            meta_bytes = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+            np.savez_compressed(path, meta=meta_bytes, **arrays)
+        elif kind == "text":
             path.write_text("update,surrogate\n1,0.5\n")
         elif kind == "empty":
             path.write_bytes(b"")
