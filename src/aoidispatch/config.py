@@ -285,9 +285,16 @@ def reject_seed(data: dict[str, Any], instead: str) -> None:
         raise ConfigError(f"seed has no effect here: episodes are seeded from {instead}")
 
 
-def train_config_from_dict(data: dict[str, Any]) -> TrainConfig:
-    _, train_kwargs = split_config_dict(data)
-    return TrainConfig(**train_kwargs)
+def config_from_section(cls, data: Any, section: str):
+    """The ``cls`` config a JSON ``section`` holds. A section that is not an
+    object, or holds a key ``cls`` has no field for, raises a
+    :class:`ConfigError` naming it."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section} section must be an object")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {section} keys {sorted(unknown)}")
+    return cls(**data)
 
 
 def config_as_dict(config: EnvConfig | TrainConfig) -> dict[str, Any]:

@@ -253,12 +253,9 @@ class DispatchEnv:
         self._rng = np.random.default_rng(config.seed)
         self.world = init_world(config, self._rng)
 
-    def reset(self, seed: Optional[int] = None) -> Knowledge:
-        """Start a new episode and return its knowledge. Without a seed the
-        existing RNG stream continues, so consecutive episodes differ but
-        reproducibly."""
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
+    def reset(self) -> Knowledge:
+        """Start a new episode and return its knowledge. The env's RNG stream
+        continues, so consecutive episodes differ but reproducibly."""
         self.world = init_world(self.config, self._rng)
         return self.world.knowledge
 

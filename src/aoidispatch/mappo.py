@@ -20,13 +20,13 @@ import json
 import time
 import zipfile
 from contextlib import ExitStack
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from .config import EnvConfig, TrainConfig, _as_int, config_as_dict
+from .config import EnvConfig, TrainConfig, _as_int, config_as_dict, config_from_section
 from .env import DispatchEnv, JointAction, Knowledge, WorldState, dispatch_targets
 from .errors import ConfigError, ContractViolation
 from .nn import Adam, DenseNet, PolicyHeads, one_blas_thread
@@ -197,11 +197,12 @@ class MappoPolicy:
 class RolloutBuffer:
     """One rollout of trajectories for a MAPPO update.
 
-    Per slot: critic state, team reward, critic value. Per slot and
-    dispatcher: encoded observation, sampled action, behavior log-prob.
-    Episode truncations inside the rollout carry their own bootstrap values;
-    ``bootstrap_value`` bootstraps the final slot. Advantages and return
-    targets are filled in by :func:`compute_gae`.
+    Per slot: critic state, team reward, critic value, and ``next_values``,
+    the critic value of the state the slot leads to: the next slot's value,
+    the truncated state's where an episode ends at the slot, and the final
+    state's at the last slot. Per slot and dispatcher: encoded observation,
+    sampled action, behavior log-prob. :func:`compute_gae` turns a buffer
+    into advantages and return targets.
     """
 
     actor_obs: np.ndarray
@@ -211,11 +212,8 @@ class RolloutBuffer:
     states: np.ndarray
     rewards: np.ndarray
     values: np.ndarray
+    next_values: np.ndarray
     episode_ends: np.ndarray
-    end_values: dict[int, float] = field(default_factory=dict)
-    bootstrap_value: Optional[float] = None
-    advantages: Optional[np.ndarray] = None
-    returns: Optional[np.ndarray] = None
     # two-phase policies: the observation the dispatch head conditioned on
     # (the encoded knowledge overlaid with the slot's query answers)
     actor_obs_refreshed: Optional[np.ndarray] = None
@@ -223,10 +221,6 @@ class RolloutBuffer:
     @property
     def length(self) -> int:
         return self.rewards.shape[0]
-
-    @property
-    def n_agents(self) -> int:
-        return self.actor_obs.shape[1]
 
 
 class ValueNormalizer:
@@ -271,11 +265,6 @@ class ValueNormalizer:
         self.mean, self.sq, self.weight, self.rate = (float(v) for v in arrays[f"{prefix}stats"])
 
 
-def _critic_values(critic: DenseNet, states: np.ndarray, normalizer: Optional[ValueNormalizer]) -> np.ndarray:
-    raw = critic.forward(states)[:, 0]
-    return normalizer.denormalize(raw) if normalizer is not None else raw
-
-
 def collect_rollout(
     env: DispatchEnv,
     actors: ActorGroup,
@@ -291,7 +280,9 @@ def collect_rollout(
     Each slot encodes the actor observations straight into the buffer and
     keeps the actor logits (two-phase: also the dispatch-phase logits). The
     critic states and the behavior log-probs, which no slot reads, are
-    completed once, after the last slot.
+    completed once, after the last slot, and one critic pass over the slots'
+    states, the truncated states and the final state gives ``values`` and
+    ``next_values``.
     """
     cfg = env.config
     two_phase = actors.two_phase
@@ -306,7 +297,7 @@ def collect_rollout(
     states = np.empty((length, critic_state_dim(cfg)))
     rewards = np.empty(length)
     episode_ends = np.zeros(length, dtype=bool)
-    end_states: list[tuple[int, np.ndarray]] = []
+    end_states: list[np.ndarray] = []
 
     for t in range(length):
         _encode_servers(actor_obs[t], env.knowledge, cfg)
@@ -323,7 +314,7 @@ def collect_rollout(
         rewards[t] = env.step(JointAction(bits, dispatch_targets(disp))).team_reward
         if env.done:
             episode_ends[t] = True
-            end_states.append((t, encode_critic_state(env.world, cfg)))
+            end_states.append(encode_critic_state(env.world, cfg))
             env.reset()
 
     # the rest of the critic state of every slot: queue fill, and the ages
@@ -340,14 +331,13 @@ def collect_rollout(
         + dispatch_heads.log_prob_dispatch(dispatch.reshape(length * n))
     ).reshape(length, n)
 
-    tail = encode_critic_state(env.world, cfg)
-    extra = np.vstack([s for _, s in end_states] + [tail])
-    all_values = _critic_values(critic, np.vstack([states, extra]), normalizer)
+    critic_in = np.vstack([states, *end_states, encode_critic_state(env.world, cfg)])
+    all_values = critic.forward(critic_in)[:, 0]
+    if normalizer is not None:
+        all_values = normalizer.denormalize(all_values)
     values = all_values[:length]
-    end_values = {
-        t: float(v) for (t, _), v in zip(end_states, all_values[length:])
-    }
-    bootstrap = float(all_values[-1])
+    next_values = np.append(values[1:], all_values[-1])
+    next_values[episode_ends] = all_values[length:-1]
 
     return RolloutBuffer(
         actor_obs=actor_obs,
@@ -357,9 +347,8 @@ def collect_rollout(
         states=states,
         rewards=rewards,
         values=values,
+        next_values=next_values,
         episode_ends=episode_ends,
-        end_values=end_values,
-        bootstrap_value=bootstrap,
         actor_obs_refreshed=actor_obs_refreshed,
     )
 
@@ -367,40 +356,24 @@ def collect_rollout(
 def compute_gae(
     buffer: RolloutBuffer, discount: float, gae_lambda: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimates and return targets for a rollout.
+    """Generalized advantage estimates and return targets ``(advantages,
+    returns)`` for a rollout; the buffer is only read.
 
-    One-step TD errors ``reward + discount * V(next) - V(current)`` are
+    One-step TD errors ``reward + discount * next_value - value`` are
     accumulated backwards with weight ``discount * gae_lambda``, restarting
     at episode boundaries; return targets are advantages plus values. With
     ``gae_lambda=0`` this reduces to the one-step advantage, with
     ``gae_lambda=1`` to discounted reward sums around the value baseline.
     """
-    if buffer.bootstrap_value is None:
-        raise ContractViolation("rollout buffer is missing its terminal bootstrap value")
-    length = buffer.length
-    next_values = np.empty(length)
-    for t in range(length):
-        if buffer.episode_ends[t]:
-            if t not in buffer.end_values:
-                raise ContractViolation(f"episode boundary at slot {t} has no bootstrap value")
-            next_values[t] = buffer.end_values[t]
-        elif t + 1 < length:
-            next_values[t] = buffer.values[t + 1]
-        else:
-            next_values[t] = buffer.bootstrap_value
-
-    advantages = np.empty(length)
+    deltas = buffer.rewards + discount * buffer.next_values - buffer.values
+    advantages = np.empty(buffer.length)
     carry = 0.0
-    for t in range(length - 1, -1, -1):
-        delta = buffer.rewards[t] + discount * next_values[t] - buffer.values[t]
+    for t in range(buffer.length - 1, -1, -1):
         if buffer.episode_ends[t]:
             carry = 0.0
-        carry = delta + discount * gae_lambda * carry
+        carry = deltas[t] + discount * gae_lambda * carry
         advantages[t] = carry
-    returns = advantages + buffer.values
-    buffer.advantages = advantages
-    buffer.returns = returns
-    return advantages, returns
+    return advantages, advantages + buffer.values
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +492,8 @@ def _minibatches(pools: np.ndarray, count: int, rng: np.random.Generator) -> lis
 
 def mappo_update(
     buffer: RolloutBuffer,
+    advantages: np.ndarray,
+    returns: np.ndarray,
     actors: ActorGroup,
     critic: DenseNet,
     train_config: TrainConfig,
@@ -527,7 +502,8 @@ def mappo_update(
     rng: np.random.Generator,
     normalizer: Optional[ValueNormalizer] = None,
 ) -> UpdateStats:
-    """One MAPPO update: several epochs of shuffled minibatches.
+    """One MAPPO update on a rollout and its :func:`compute_gae` advantages
+    and return targets: several epochs of shuffled minibatches.
 
     Actors minimize the negated clipped surrogate minus the entropy bonus on
     their own observation/action samples (every agent sees the shared team
@@ -537,20 +513,17 @@ def mappo_update(
     member's minibatch whose loss or gradients go non-finite is skipped and
     counted.
     """
-    if buffer.advantages is None or buffer.returns is None:
-        raise ContractViolation("compute_gae must run before mappo_update")
     cfg = train_config
     two_phase = actors.two_phase
     if two_phase and buffer.actor_obs_refreshed is None:
         raise ContractViolation("two-phase update needs the refreshed observations in the buffer")
-    length, n_agents = buffer.length, buffer.n_agents
+    length, n_agents = buffer.log_probs.shape
     k = actors.env_config.n_servers
     net, members = actors.net, actors.net.members
 
-    adv = buffer.advantages
-    adv_mean, adv_std = float(adv.mean()), float(adv.std())
+    adv_mean, adv_std = float(advantages.mean()), float(advantages.std())
     if cfg.normalize_advantages:
-        adv = normalize_advantages(adv)
+        advantages = normalize_advantages(advantages)
 
     flat_obs = buffer.actor_obs.reshape(length * n_agents, -1)
     flat_obs2 = (
@@ -559,12 +532,12 @@ def mappo_update(
     flat_bits = buffer.query_bits.reshape(length * n_agents, k)
     flat_disp = buffer.dispatch.reshape(length * n_agents)
     flat_old_lp = buffer.log_probs.reshape(length * n_agents)
-    flat_adv = np.repeat(adv, n_agents)
+    flat_adv = np.repeat(advantages, n_agents)
     # each member's samples (index t * n_agents + agent): every sample for a
     # shared actor, its own agent's for per-dispatcher actors
     pools = np.arange(length * n_agents).reshape(-1, members).T
 
-    targets = buffer.returns
+    targets = returns
     if normalizer is not None:
         normalizer.update(targets)
         targets = normalizer.normalize(targets)
@@ -794,13 +767,9 @@ def _stored_config(meta: dict, section: str, cls, retired: str):
     """The ``cls`` config stored under ``meta[section]``, less the
     ``retired`` field older checkpoints carry."""
     data = meta.get(section)
-    if not isinstance(data, dict):
-        raise ConfigError(f"{section} is not an object")
-    data.pop(retired, None)
-    unknown = set(data) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {section} keys {sorted(unknown)}")
-    return cls(**data)
+    if isinstance(data, dict):
+        data.pop(retired, None)
+    return config_from_section(cls, data, section)
 
 
 def load_checkpoint(path: str | Path) -> CheckpointBundle:
@@ -938,9 +907,11 @@ class Trainer:
             buffer = collect_rollout(
                 self.env, self.actors, self.critic, self.train_config, self._sample_rng, self.normalizer
             )
-            compute_gae(buffer, self.train_config.discount, self.train_config.gae_lambda)
+            advantages, returns = compute_gae(buffer, self.train_config.discount, self.train_config.gae_lambda)
             stats = mappo_update(
                 buffer,
+                advantages,
+                returns,
                 self.actors,
                 self.critic,
                 self.train_config,

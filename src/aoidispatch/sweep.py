@@ -2,9 +2,9 @@
 
 A sweep evaluates each policy at every value of one swept environment
 parameter (query cost, arrival probability, or number of dispatchers) across
-several seeds. MAPPO cells either load a checkpoint or train fresh per cell
-("mappo:train"), since a policy trained at one dispatcher count has the
-wrong input arity at another. Cells are independent and seeded from their
+several seeds. MAPPO cells either run a checkpoint, loaded once per sweep,
+or train fresh per cell ("mappo:train"), since a policy trained at one
+dispatcher count has the wrong input arity at another. Cells are independent and seeded from their
 (seed, policy, value) indices, so they run in a pool of worker processes;
 rows are still checked, flushed and logged in cell order, and the final
 report adds per-(policy, value) means with standard errors.
@@ -21,18 +21,17 @@ from typing import Any, Optional, Sequence
 
 from .baselines import BaselineKind, BaselinePolicy, parse_policy_spec
 from .config import (
-    ENV_FIELDS,
-    TRAIN_FIELDS,
     EnvConfig,
     TrainConfig,
     _as_int,
     config_as_dict,
+    config_from_section,
     load_config_dict,
     reject_seed,
 )
 from .env import DispatchEnv
 from .errors import AccountingError, ConfigError
-from .mappo import Trainer, _derived_seed, check_checkpoint_dimensions, evaluate, load_policy
+from .mappo import MappoPolicy, Trainer, _derived_seed, check_checkpoint_dimensions, evaluate, load_policy
 from .nn import pin_one_blas_thread
 from .records import RecordWriter, check_format, write_records
 
@@ -130,18 +129,10 @@ class SweepSpec:
         except KeyError as exc:
             raise ConfigError(f"sweep spec is missing {exc.args[0]!r}") from exc
         seeds = [_as_int(s, "seeds") for s in data.get("seeds", [0, 1, 2, 3, 4])]
-        env_kwargs, train_kwargs = data.get("env", {}), data.get("train", {})
-        for section, kwargs, allowed in (
-            ("env", env_kwargs, ENV_FIELDS), ("train", train_kwargs, TRAIN_FIELDS)
-        ):
-            if not isinstance(kwargs, dict):
-                raise ConfigError(f"sweep {section!r} section must be an object")
-            unknown = set(kwargs) - allowed
-            if unknown:
-                raise ConfigError(f"unknown {section} keys in sweep spec: {sorted(unknown)}")
+        env_kwargs = data.get("env", {})
+        base_env = config_from_section(EnvConfig, env_kwargs, "sweep 'env'")
         reject_seed(env_kwargs, "the spec's 'seeds'")
-        base_env = EnvConfig(**env_kwargs)
-        train = TrainConfig(**train_kwargs)
+        train = config_from_section(TrainConfig, data.get("train", {}), "sweep 'train'")
         return cls(
             swept_parameter=swept,
             values=values,
@@ -159,6 +150,12 @@ class SweepSpec:
     def validate(self) -> list[EnvConfig]:
         """Build every cell's config and resolve every policy up front so an
         invalid sweep is rejected before any run starts."""
+        return self._resolve()[0]
+
+    def _resolve(self) -> tuple[list[EnvConfig], dict[str, MappoPolicy]]:
+        """:meth:`validate`'s cell configs, and the policy of each
+        ``mappo:<checkpoint>`` spec, its file loaded once and checked against
+        every cell."""
         if not self.values:
             raise ConfigError("sweep needs at least one value")
         if not self.seeds:
@@ -169,13 +166,14 @@ class SweepSpec:
         if self.eval_episodes < 1:
             raise ConfigError("eval_episodes must be >= 1")
         cells = [apply_swept_value(self.base_env, self.swept_parameter, v) for v in self.values]
+        checkpoints: dict[str, MappoPolicy] = {}
         for spec in self.policies:
             parsed = parse_policy_spec(spec)
-            if isinstance(parsed, str) and parsed != "train":
-                _, trained_on = load_policy(parsed)
+            if isinstance(parsed, str) and parsed != "train" and spec not in checkpoints:
+                checkpoints[spec], trained_on = load_policy(parsed)
                 for cfg in cells:
                     check_checkpoint_dimensions(parsed, trained_on, cfg)
-        return cells
+        return cells, checkpoints
 
 
 def _check_policy_specs(policies) -> None:
@@ -221,9 +219,14 @@ def _evaluate_cell(
     seed: int,
     policy_index: int,
     value_index: int,
+    policy: Optional[MappoPolicy] = None,
 ) -> ResultRow:
+    """One row: ``policy_spec`` evaluated on ``env_config``. ``policy`` is its
+    checkpoint policy if the caller has loaded it; otherwise the cell resolves it."""
+    if policy is None:
+        policy = resolve_policy(policy_spec, env_config, spec.train, seed)
     stats = evaluate(
-        resolve_policy(policy_spec, env_config, spec.train, seed),
+        policy,
         env_config,
         spec.eval_episodes,
         seed=_derived_seed(seed, policy_index, value_index),
@@ -268,10 +271,10 @@ def run_sweep(
     import numpy.random  # noqa: F401
 
     out_dir = Path(out_dir)
-    cells = spec.validate()
+    cells, checkpoints = spec._resolve()
     check_format(fmt)
     jobs = [
-        (policy_spec, env_config, spec, seed, p_idx, v_idx)
+        (policy_spec, env_config, spec, seed, p_idx, v_idx, checkpoints.get(policy_spec))
         for p_idx, policy_spec in enumerate(spec.policies)
         for v_idx, env_config in enumerate(cells)
         for seed in spec.seeds

@@ -20,7 +20,7 @@ from aoidispatch import (
     Trainer,
     load_checkpoint,
 )
-from aoidispatch import cli, records, sweep
+from aoidispatch import cli, mappo, records, sweep
 from aoidispatch.cli import main
 from aoidispatch.mappo import EvalStats
 from aoidispatch.sweep import (
@@ -198,6 +198,25 @@ class TestParallelCells:
         ckpt = trainer.save(tmp_path_factory.mktemp("ckpt") / "ckpt.npz")
         return SweepSpec.from_dict(tiny_spec_dict(
             ["never", "random:0.5", "always", f"mappo:{ckpt}", "mappo:train"], seeds=(0, 1)))
+
+    def test_checkpoint_loaded_once_per_sweep(self, tmp_path, monkeypatch):
+        trainer = Trainer(EnvConfig(**tiny_env_kwargs()),
+                          TrainConfig(rollout_length=16, total_updates=1, hidden_sizes=(8,)), seed=3)
+        ckpt = trainer.save(tmp_path / "ckpt.npz")
+        loads = tmp_path / "loads.txt"
+        real_load = mappo.load_checkpoint
+
+        def logged_load(path):
+            # forked workers inherit the patch and append to the same file
+            with open(loads, "a") as fh:
+                fh.write(f"{path}\n")
+            return real_load(path)
+
+        monkeypatch.setattr(mappo, "load_checkpoint", logged_load)
+        spec = SweepSpec.from_dict(tiny_spec_dict(["never", f"mappo:{ckpt}"]))  # 2 values x 3 seeds
+        rows = run_sweep(spec, tmp_path / "out")
+        assert len(rows) == 2 * 2 * 3
+        assert loads.read_text().splitlines() == [str(ckpt)]
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_pool_matches_in_process_cells(self, tmp_path, mixed_spec, fmt):

@@ -6,11 +6,11 @@ from aoidispatch import ConfigError, EnvConfig, TrainConfig
 from aoidispatch.config import (
     apply_overrides,
     config_as_dict,
+    config_from_section,
     env_config_from_dict,
     load_config_dict,
     parse_config_text,
     split_config_dict,
-    train_config_from_dict,
 )
 
 
@@ -141,7 +141,7 @@ class TestTrainConfig:
             load_config_dict(tmp_path / "train.json"),
             {"hidden_sizes": 64.0},
         ):
-            assert train_config_from_dict(data).hidden_sizes == (64,)
+            assert TrainConfig(**split_config_dict(data)[1]).hidden_sizes == (64,)
 
     def test_as_dict_roundtrip(self):
         cfg = TrainConfig(hidden_sizes=(8,), total_updates=3)
@@ -227,5 +227,13 @@ class TestOverridesAndSplit:
     def test_from_dict_builders(self):
         env = env_config_from_dict({"n_servers": 2, "n_dispatchers": 2})
         assert env.n_servers == 2
-        train = train_config_from_dict({"learning_rate": 0.01})
+        train = TrainConfig(**split_config_dict({"learning_rate": 0.01})[1])
         assert train.learning_rate == 0.01
+
+    def test_section_builder(self):
+        assert config_from_section(TrainConfig, {"learning_rate": 0.01}, "train").learning_rate == 0.01
+        assert config_from_section(EnvConfig, {}, "env") == EnvConfig()
+        with pytest.raises(ConfigError, match="my section section must be an object"):
+            config_from_section(EnvConfig, [1, 2], "my section")
+        with pytest.raises(ConfigError, match=r"unknown my section keys \['learning_rate'\]"):
+            config_from_section(EnvConfig, {"n_servers": 2, "learning_rate": 5}, "my section")

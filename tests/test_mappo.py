@@ -22,7 +22,7 @@ from aoidispatch import (
     total_loss,
     value_loss,
 )
-from aoidispatch import nn
+from aoidispatch import mappo, nn
 from aoidispatch.env import DispatchEnv, JointAction, dispatch_targets
 from aoidispatch.mappo import (
     RolloutBuffer,
@@ -40,7 +40,12 @@ from aoidispatch.nn import Adam, DenseNet, PolicyHeads
 
 
 def make_buffer(rewards, values, bootstrap, episode_ends=None, end_values=None):
+    # next_values: the next slot's value, ``end_values[t]`` where an episode
+    # ends at slot t, ``bootstrap`` after the last slot
     length = len(rewards)
+    next_values = np.append(np.asarray(values, dtype=np.float64)[1:], bootstrap)
+    for t, value in (end_values or {}).items():
+        next_values[t] = value
     return RolloutBuffer(
         actor_obs=np.zeros((length, 1, 1)),
         query_bits=np.zeros((length, 1, 1), dtype=np.int8),
@@ -49,11 +54,10 @@ def make_buffer(rewards, values, bootstrap, episode_ends=None, end_values=None):
         states=np.zeros((length, 1)),
         rewards=np.asarray(rewards, dtype=np.float64),
         values=np.asarray(values, dtype=np.float64),
+        next_values=next_values,
         episode_ends=np.asarray(
             episode_ends if episode_ends is not None else [False] * length
         ),
-        end_values=end_values or {},
-        bootstrap_value=bootstrap,
     )
 
 
@@ -103,11 +107,6 @@ class TestComputeGae:
                            episode_ends=np.array([False, True, False]), end_values={1: 0.0})
         adv, _ = compute_gae(base, 0.9, 1.0)
         assert adv[0] == 0.0 and adv[1] == 0.0 and adv[2] == pytest.approx(5.0)
-
-    def test_missing_bootstrap_is_contract_error(self):
-        buf = make_buffer([1.0], [0.0], bootstrap=None)
-        with pytest.raises(ContractViolation):
-            compute_gae(buf, 0.9, 0.95)
 
 
 class TestClippedSurrogate:
@@ -224,7 +223,7 @@ class TestCollectRollout:
         assert buf.states.shape == (32, critic_state_dim(env_cfg))
         assert buf.log_probs.shape == (32, 2)
         assert buf.rewards.shape == (32,)
-        assert buf.bootstrap_value is not None
+        assert buf.next_values.shape == (32,)
 
     def test_stored_log_probs_match_recomputation(self):
         # the log-probs computed once per rollout equal, bit for bit, a
@@ -315,7 +314,36 @@ class TestCollectRollout:
         )
         ends = np.nonzero(buf.episode_ends)[0]
         assert list(ends) == [15, 31]  # horizon 16 inside a 40-slot rollout
-        assert set(buf.end_values) == {15, 31}
+        # every other slot below the last leads to the next slot's state
+        inside = ~buf.episode_ends[:-1]
+        assert inside.sum() == buf.length - 3
+        assert same_bytes(buf.next_values[:-1][inside], buf.values[1:][inside])
+
+    def test_episode_ending_on_the_last_slot_bootstraps_the_truncated_state(self, monkeypatch):
+        # horizon 16 in a 32-slot rollout: the env is reset after slot 31, so
+        # the final state the rollout encodes is the reset one, and slot 31
+        # must take its next value from the truncated state instead
+        env_cfg, train_cfg = small_setup(horizon=16, rollout=32)
+        trainer = Trainer(env_cfg, train_cfg, seed=9)
+        encoded = []
+
+        def recording_encoder(world, config):
+            encoded.append(encode_critic_state(world, config))
+            return encoded[-1]
+
+        monkeypatch.setattr(mappo, "encode_critic_state", recording_encoder)
+        buf = collect_rollout(
+            trainer.env, trainer.actors, trainer.critic, train_cfg,
+            np.random.default_rng(3), trainer.normalizer,
+        )
+        assert list(np.nonzero(buf.episode_ends)[0]) == [15, 31]
+        assert len(encoded) == 3  # truncated at 15, truncated at 31, reset
+        truncated_15, truncated_31, reset = trainer.normalizer.denormalize(
+            trainer.critic.forward(np.vstack(encoded))[:, 0]
+        )
+        assert abs(truncated_31 - reset) > 1e-6
+        assert buf.next_values[31] == pytest.approx(truncated_31, abs=1e-12)
+        assert buf.next_values[15] == pytest.approx(truncated_15, abs=1e-12)
 
 
 class TestMappoUpdate:
@@ -363,28 +391,30 @@ class TestMappoUpdate:
             states=np.zeros((8, critic_state_dim(env_cfg))),
             rewards=np.ones(8),
             values=np.zeros(8),
+            next_values=np.zeros(8),
             episode_ends=np.zeros(8, dtype=bool),
-            bootstrap_value=0.0,
         )
-        buf.advantages = np.ones(8)
-        buf.returns = np.ones(8)
         opt = Adam(actors.net.params, 0.05, members=actors.net.members)
         copt = Adam(critic.params, 0.05)
-        mappo_update(buf, actors, critic, train_cfg, opt, copt, np.random.default_rng(0))
+        mappo_update(
+            buf, np.ones(8), np.ones(8), actors, critic, train_cfg, opt, copt, np.random.default_rng(0)
+        )
         heads_after = actors.heads(obs[0])
         assert heads_after.dispatch_probs[0, 0] > prob_before
         assert (heads_after.query_probs[0] > q_before).all()
 
-    def test_update_without_gae_is_contract_error(self):
-        env_cfg, train_cfg = small_setup()
+    def test_two_phase_update_without_refreshed_observations_is_contract_error(self):
+        env_cfg, train_cfg = small_setup(two_phase=True)
         trainer = Trainer(env_cfg, train_cfg, seed=15)
         buf = collect_rollout(
             trainer.env, trainer.actors, trainer.critic, train_cfg,
             np.random.default_rng(0), trainer.normalizer,
         )
-        with pytest.raises(ContractViolation):
+        advantages, returns = compute_gae(buf, train_cfg.discount, train_cfg.gae_lambda)
+        buf.actor_obs_refreshed = None
+        with pytest.raises(ContractViolation, match="refreshed observations"):
             mappo_update(
-                buf, trainer.actors, trainer.critic, train_cfg,
+                buf, advantages, returns, trainer.actors, trainer.critic, train_cfg,
                 trainer.actor_opt, trainer.critic_opt, np.random.default_rng(0),
             )
 
