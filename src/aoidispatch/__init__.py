@@ -37,7 +37,6 @@ from .mappo import (
     load_policy,
     mappo_update,
     save_checkpoint,
-    total_loss,
     value_loss,
 )
 from .nn import Adam, DenseNet, PolicyHeads, finite_difference_gradients
@@ -88,6 +87,5 @@ __all__ = [
     "run_sweep",
     "save_checkpoint",
     "stationary_distribution",
-    "total_loss",
     "value_loss",
 ]

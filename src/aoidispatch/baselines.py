@@ -82,14 +82,12 @@ class BaselinePolicy:
 
     def __init__(self, kind: BaselineKind):
         self.kind = kind
-        self._rng: Optional[np.random.Generator] = None
+        self._rng = np.random.default_rng(0)
 
     def begin_episode(self, rng: np.random.Generator) -> None:
         self._rng = rng
 
     def act(self, env: DispatchEnv) -> JointAction:
-        if self._rng is None:
-            self._rng = np.random.default_rng(0)
         cfg = env.config
         queries = baseline_queries(self.kind, cfg.n_dispatchers, cfg.n_servers, self._rng)
         knowledge = env.knowledge if self.kind.variant == NEVER else env.process_queries(queries)

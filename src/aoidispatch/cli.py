@@ -30,7 +30,7 @@ from .config import (
 )
 from .env import DispatchEnv
 from .errors import ConfigError
-from .mappo import Trainer, check_checkpoint_dimensions, evaluate, load_policy
+from .mappo import Trainer, check_dimensions, evaluate, load_policy
 from .records import FORMATS, write_records
 from .selftest import run_all
 from .sweep import SweepSpec, resolve_policy, run_sweep
@@ -150,7 +150,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if data:
         # user keys overlay the env config stored in the checkpoint
         env_config = env_config_from_dict({**config_as_dict(trained_on), **data})
-        check_checkpoint_dimensions(args.checkpoint, trained_on, env_config)
+        check_dimensions(f"checkpoint {args.checkpoint}", trained_on, env_config)
     else:
         env_config = trained_on
     seed = args.seed if args.seed is not None else 0

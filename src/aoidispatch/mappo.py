@@ -174,11 +174,7 @@ class MappoPolicy:
     def act(self, env: DispatchEnv) -> JointAction:
         cfg = env.config
         if cfg is not self._config:
-            trained = self.actors.env_config
-            if (cfg.n_dispatchers, cfg.n_servers) != (trained.n_dispatchers, trained.n_servers):
-                raise ConfigError(
-                    "environment dimensions do not match the dimensions this policy was trained for"
-                )
+            check_dimensions("this policy", self.actors.env_config, cfg)
             self._obs = np.empty((cfg.n_dispatchers, self.actors.obs_dim))
             _encode_ids(self._obs, cfg, self.actors.shared)
             self._dispatch_obs = self._obs.copy() if self.actors.two_phase else None
@@ -232,8 +228,8 @@ class ValueNormalizer:
     transform is the identity.
     """
 
-    def __init__(self, rate: float = 0.99):
-        self.rate = rate
+    def __init__(self):
+        self.rate = 0.99
         self.mean = 0.0
         self.sq = 0.0
         self.weight = 0.0
@@ -439,18 +435,6 @@ def value_loss(values: np.ndarray, targets: np.ndarray) -> float:
     if values.shape != targets.shape:
         raise ValueError("values and targets must have identical shapes")
     return float(np.mean((values - targets) ** 2))
-
-
-def total_loss(
-    policy_term: float,
-    value_term: float,
-    entropy_term: float,
-    value_coef: float,
-    entropy_coef: float,
-) -> float:
-    """Scalar training loss: minimizing it maximizes the policy objective and
-    the entropy bonus while fitting the critic."""
-    return -policy_term + value_coef * value_term - entropy_coef * entropy_term
 
 
 # ---------------------------------------------------------------------------
@@ -820,12 +804,13 @@ def load_policy(path: str | Path, greedy: bool = False) -> tuple[MappoPolicy, En
     return MappoPolicy(bundle.actors, greedy=greedy), bundle.env_config
 
 
-def check_checkpoint_dimensions(checkpoint, trained_on: EnvConfig, requested: EnvConfig) -> None:
+def check_dimensions(source: str, trained_on: EnvConfig, requested: EnvConfig) -> None:
     """Reject ``requested`` unless it has the dispatcher and server counts of
-    ``trained_on``, the env config stored in ``checkpoint``."""
+    ``trained_on``, the env config ``source`` (a policy or checkpoint, as the
+    message names it) was trained on."""
     if (requested.n_dispatchers, requested.n_servers) != (trained_on.n_dispatchers, trained_on.n_servers):
         raise ConfigError(
-            f"checkpoint {checkpoint} was trained for {trained_on.n_dispatchers} dispatchers x "
+            f"{source} was trained for {trained_on.n_dispatchers} dispatchers x "
             f"{trained_on.n_servers} servers, not the requested "
             f"{requested.n_dispatchers} x {requested.n_servers}"
         )

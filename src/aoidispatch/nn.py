@@ -2,7 +2,7 @@
 heads, and Adam.
 
 Everything is float64 numpy. The backward pass is hand-written reverse mode
-for the affine+activation chain; the policy heads expose analytic gradients
+for the affine+tanh chain; the policy heads expose analytic gradients
 of log-probability and entropy with respect to their logits, so a PPO update
 is one head-gradient computation followed by one ``DenseNet.backward``. No
 general-purpose autodiff.
@@ -27,8 +27,6 @@ from .errors import ContractViolation
 
 LOGIT_CLAMP = 30.0
 PROB_FLOOR = 1e-8
-
-_ACTIVATIONS = ("tanh", "linear")
 
 # OpenBLAS thread-count (getter, setter) pairs, by build: numpy wheels bundle
 # scipy-openblas, other builds export the plain or 64-bit-integer names
@@ -122,10 +120,10 @@ def orthogonal_init(
 
 
 class DenseNet:
-    """Fully connected net: affine layers with per-layer activation tags.
+    """Fully connected net: affine layers, tanh on the hidden ones.
 
     ``layer_sizes`` chains input through hidden widths to the output size;
-    hidden layers default to tanh and the output layer to linear. Hidden
+    the output layer is linear. Hidden
     weights start orthogonal with gain sqrt(2), the output layer with
     ``out_gain`` (small gains keep an initial policy near-uniform).
 
@@ -141,7 +139,6 @@ class DenseNet:
         self,
         layer_sizes: Sequence[int],
         rng: Optional[np.random.Generator],
-        activations: Optional[Sequence[str]] = None,
         out_gain: float = 1.0,
         members: int = 1,
     ):
@@ -152,14 +149,6 @@ class DenseNet:
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         self.members = int(members)
         n_layers = len(self.layer_sizes) - 1
-        if activations is None:
-            activations = ["tanh"] * (n_layers - 1) + ["linear"]
-        if len(activations) != n_layers:
-            raise ValueError(f"expected {n_layers} activation tags, got {len(activations)}")
-        for act in activations:
-            if act not in _ACTIVATIONS:
-                raise ValueError(f"unsupported activation {act!r}")
-        self.activations = tuple(activations)
 
         shapes = list(zip(self.layer_sizes, self.layer_sizes[1:]))
         if rng is None:
@@ -172,7 +161,7 @@ class DenseNet:
             ]
             self.weights = [np.stack(layer) for layer in zip(*init)]
         self.biases: list[np.ndarray] = [np.zeros((self.members, d)) for d in self.layer_sizes[1:]]
-        self._cache: Optional[tuple[list[np.ndarray], list[np.ndarray]]] = None
+        self._cache: Optional[tuple[list[np.ndarray], np.ndarray]] = None
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -200,14 +189,12 @@ class DenseNet:
                 f"input shape {x.shape} does not match input size {d_in} for {self.members} members"
             )
         inputs = []
-        outputs = []
         h = x.reshape(self.members, -1, d_in)
-        for w, b, act in zip(self.weights, self.biases, self.activations):
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             inputs.append(h)
             z = h @ w + b[:, None]
-            h = np.tanh(z) if act == "tanh" else z
-            outputs.append(h)
-        self._cache = (inputs, outputs)
+            h = z if i == len(self.weights) - 1 else np.tanh(z)
+        self._cache = (inputs, h)
         return h.reshape(*x.shape[:-1], -1)
 
     def backward(self, grad_out: np.ndarray) -> list[np.ndarray]:
@@ -218,21 +205,19 @@ class DenseNet:
         """
         if self._cache is None:
             raise ContractViolation("backward called without a cached forward pass")
-        inputs, outputs = self._cache
+        inputs, out = self._cache
         grad = np.asarray(grad_out, dtype=np.float64)
-        if grad.shape[-1:] != outputs[-1].shape[-1:] or grad.size != outputs[-1].size:
+        if grad.shape[-1:] != out.shape[-1:] or grad.size != out.size:
             raise ValueError(
-                f"upstream gradient shape {grad.shape} does not match output {outputs[-1].shape}"
+                f"upstream gradient shape {grad.shape} does not match output {out.shape}"
             )
-        grad = grad.reshape(outputs[-1].shape)
+        grad = grad.reshape(out.shape)
         grads: list[np.ndarray] = [np.empty(0)] * (2 * len(self.weights))
         for i in range(len(self.weights) - 1, -1, -1):
-            if self.activations[i] == "tanh":
-                grad = grad * (1.0 - outputs[i] ** 2)
             grads[2 * i] = inputs[i].swapaxes(1, 2) @ grad
             grads[2 * i + 1] = grad.sum(axis=1)
-            if i > 0:
-                grad = grad @ self.weights[i].swapaxes(1, 2)
+            if i > 0:  # through layer i, then the tanh whose output is layer i's input
+                grad = (grad @ self.weights[i].swapaxes(1, 2)) * (1.0 - inputs[i] ** 2)
         return grads
 
     def _named_params(self) -> dict[str, np.ndarray]:
@@ -475,20 +460,18 @@ class Adam:
     boolean array of the members that stepped.
     """
 
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
     def __init__(
         self,
         params: Sequence[np.ndarray],
         learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
         max_grad_norm: Optional[float] = None,
         members: int = 1,
     ):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.max_grad_norm = max_grad_norm
         self.members = members
         self.t = np.zeros(members, dtype=np.int64)

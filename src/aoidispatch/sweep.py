@@ -31,11 +31,13 @@ from .config import (
 )
 from .env import DispatchEnv
 from .errors import AccountingError, ConfigError
-from .mappo import MappoPolicy, Trainer, _derived_seed, check_checkpoint_dimensions, evaluate, load_policy
+from .mappo import MappoPolicy, Trainer, _derived_seed, check_dimensions, evaluate, load_policy
 from .nn import pin_one_blas_thread
 from .records import RecordWriter, check_format, write_records
 
 SWEEPABLE = ("query_cost", "arrival_prob", "n_dispatchers")
+# the per-slot metrics a row copies from EvalStats and the aggregate averages
+METRICS = ("reward_per_slot", "throughput_per_slot", "queries_per_slot", "drops_per_slot")
 
 
 def default_config() -> EnvConfig:
@@ -166,13 +168,20 @@ class SweepSpec:
         if self.eval_episodes < 1:
             raise ConfigError("eval_episodes must be >= 1")
         cells = [apply_swept_value(self.base_env, self.swept_parameter, v) for v in self.values]
+        # a repeated entry would count one cell twice in its aggregate, which
+        # groups rows by policy spec and float(value)
+        floats = [float(v) for v in self.values]
+        for key, entries in (("values", floats), ("policies", self.policies), ("seeds", self.seeds)):
+            repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+            if repeated:
+                raise ConfigError(f"sweep {key!r} repeats {repeated[0]!r}")
         checkpoints: dict[str, MappoPolicy] = {}
         for spec in self.policies:
             parsed = parse_policy_spec(spec)
-            if isinstance(parsed, str) and parsed != "train" and spec not in checkpoints:
+            if isinstance(parsed, str) and parsed != "train":
                 checkpoints[spec], trained_on = load_policy(parsed)
                 for cfg in cells:
-                    check_checkpoint_dimensions(parsed, trained_on, cfg)
+                    check_dimensions(f"checkpoint {parsed}", trained_on, cfg)
         return cells, checkpoints
 
 
@@ -203,12 +212,14 @@ def resolve_policy(
         return BaselinePolicy(parsed)
     if parsed != "train":
         policy, trained_on = load_policy(parsed)
-        check_checkpoint_dimensions(parsed, trained_on, env_config)
+        check_dimensions(f"checkpoint {parsed}", trained_on, env_config)
         return policy
     if train is None:
         raise ConfigError("mappo:train is only valid inside a sweep; pass a checkpoint path")
     trainer = Trainer(env_config, train, seed=seed)
-    trainer.train()
+    # Trainer.train's updates, not its periodic evaluations: a cell has no use for them
+    for _ in range(train.total_updates):
+        trainer.run_update()
     return trainer.policy()
 
 
@@ -236,10 +247,7 @@ def _evaluate_cell(
         parameter=spec.swept_parameter,
         value=float(spec.values[value_index]),
         seed=seed,
-        reward_per_slot=stats.reward_per_slot,
-        throughput_per_slot=stats.throughput_per_slot,
-        queries_per_slot=stats.queries_per_slot,
-        drops_per_slot=stats.drops_per_slot,
+        **{metric: getattr(stats, metric) for metric in METRICS},
         query_cost=env_config.query_cost,
     )
 
@@ -334,10 +342,7 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
 
 AGGREGATE_FIELDS = [
     "policy", "parameter", "value", "n_seeds",
-    "reward_per_slot_mean", "reward_per_slot_se",
-    "throughput_per_slot_mean", "throughput_per_slot_se",
-    "queries_per_slot_mean", "queries_per_slot_se",
-    "drops_per_slot_mean", "drops_per_slot_se",
+    *(f"{metric}_{stat}" for metric in METRICS for stat in ("mean", "se")),
 ]
 
 
@@ -355,8 +360,7 @@ def aggregate_rows(rows: Sequence[ResultRow]) -> list[dict[str, Any]]:
             "value": value,
             "n_seeds": len(members),
         }
-        for metric in ("reward_per_slot", "throughput_per_slot",
-                       "queries_per_slot", "drops_per_slot"):
+        for metric in METRICS:
             mean, se = _mean_se([getattr(m, metric) for m in members])
             record[f"{metric}_mean"] = mean
             record[f"{metric}_se"] = se

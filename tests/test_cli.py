@@ -2,6 +2,7 @@
 
 import csv
 import ctypes
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -131,6 +132,22 @@ class TestRunSweep:
         rows = run_sweep(spec, tmp_path, fmt="jsonl")
         assert len(rows) == 1
         assert (tmp_path / "rows.jsonl").exists()
+
+    def test_mappo_train_cell_runs_only_the_updates(self, monkeypatch):
+        # the actors of Trainer.train, bitwise, without its evaluations
+        data = tiny_spec_dict(["mappo:train"])
+        data["train"].update(total_updates=3, eval_interval=1)
+        spec = SweepSpec.from_dict(data)
+        env_cfg = spec.validate()[0]
+        trained = Trainer(env_cfg, spec.train, seed=5)
+        trained.train()
+        calls = []
+        real_evaluate = mappo.evaluate
+        monkeypatch.setattr(mappo, "evaluate", lambda *a, **k: calls.append(a) or real_evaluate(*a, **k))
+        policy = sweep.resolve_policy("mappo:train", env_cfg, spec.train, seed=5)
+        assert calls == []
+        for got, want in zip(policy.actors.net.params, trained.actors.net.params, strict=True):
+            assert got.tobytes() == want.tobytes()
 
     def test_checkpoint_dimension_mismatch_rejected_up_front(self, tmp_path):
         from aoidispatch import Trainer
@@ -319,6 +336,26 @@ class TestSweepSpec:
         spec = SweepSpec("query_cost", [0.0], [1], [0], EnvConfig(**tiny_env_kwargs()), TrainConfig())
         with pytest.raises(ConfigError, match="'policies' entries must be strings, got 1"):
             spec.validate()
+
+    @pytest.mark.parametrize("key, entries", [
+        ("values", [0.0, 0.1, 0]),  # 0 and 0.0 would share one aggregate row
+        ("policies", ["never", "always", "never"]),
+        ("seeds", [3, 1, 3]),
+    ])
+    def test_repeated_entry_rejected(self, tmp_path, capsys, key, entries):
+        data = {**tiny_spec_dict(["never", "always"]), key: entries}
+        message = f"sweep '{key}' repeats "
+        with pytest.raises(ConfigError, match=message):
+            SweepSpec.from_dict(data).validate()
+        built = dataclasses.replace(SweepSpec.from_dict(tiny_spec_dict(["never", "always"])), **{key: entries})
+        with pytest.raises(ConfigError, match=message):
+            run_sweep(built, tmp_path / "api")
+        assert not (tmp_path / "api").exists()
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(data))
+        assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "cli")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "cli").exists()
 
     @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.name)
     def test_shipped_specs_validate(self, path):

@@ -19,7 +19,6 @@ from aoidispatch import (
     evaluate,
     load_checkpoint,
     load_policy,
-    total_loss,
     value_loss,
 )
 from aoidispatch import mappo, nn
@@ -175,17 +174,6 @@ class TestValueAndTotalLoss:
         t = np.array([1.0, 1.0, 1.0])
         base = value_loss(v, t)
         assert value_loss(t + 2 * (v - t), t) == pytest.approx(4 * base, abs=1e-12)
-
-    def test_total_loss_pure_policy(self):
-        assert total_loss(1.0, 0.0, 0.0, 0.5, 0.01) == -1.0
-
-    def test_total_loss_example(self):
-        assert total_loss(0.5, 0.2, 0.1, 0.5, 0.01) == pytest.approx(-0.401, abs=1e-12)
-
-    def test_entropy_weight_monotonicity(self):
-        lo = total_loss(0.5, 0.2, 1.0, 0.5, 0.01)
-        hi = total_loss(0.5, 0.2, 1.0, 0.5, 0.1)
-        assert hi < lo
 
 
 class TestAdvantageNormalization:
@@ -447,7 +435,9 @@ class TestDimensionalityChecks:
         trainer = Trainer(env_cfg, train_cfg, seed=0)
         policy = trainer.policy()
         other = DispatchEnv(EnvConfig(n_dispatchers=4, n_servers=2))
-        with pytest.raises(ConfigError):
+        trained = f"{env_cfg.n_dispatchers} dispatchers x {env_cfg.n_servers} servers"
+        message = f"^this policy was trained for {trained}, not the requested 4 x 2$"
+        with pytest.raises(ConfigError, match=message):
             policy.act(other)
 
     def test_encodings_have_consistent_dims(self):
