@@ -683,7 +683,7 @@ def evaluate(policy, env_config: EnvConfig, episodes: int, seed: int) -> EvalSta
 @dataclass
 class CheckpointBundle:
     """A training state: what a checkpoint stores, and what a
-    :class:`Trainer` starts from."""
+    :class:`Trainer` is."""
 
     env_config: EnvConfig
     train_config: TrainConfig
@@ -691,8 +691,8 @@ class CheckpointBundle:
     seed: int
     actors: ActorGroup
     critic: DenseNet
-    actor_opt: Optional[Adam]
-    critic_opt: Optional[Adam]
+    actor_opt: Adam
+    critic_opt: Adam
     normalizer: Optional[ValueNormalizer]
 
 
@@ -719,11 +719,20 @@ def _new_state(
     )
 
 
+def _stored_parts(state: CheckpointBundle) -> list[tuple[str, object]]:
+    """The parts of ``state`` a checkpoint stores, in order, each with the
+    key prefix of its arrays; ``{}`` in a prefix is the actor member."""
+    parts = [("actor{}_", state.actors.net), ("critic_", state.critic),
+             ("actor{}_opt_", state.actor_opt), ("critic_opt_", state.critic_opt)]
+    if state.normalizer is not None:
+        parts.append(("vnorm_", state.normalizer))
+    return parts
+
+
 def save_checkpoint(path: str | Path, state: CheckpointBundle) -> Path:
-    """Versioned binary dump of networks, optimizer state, and configs; actor
-    member ``i`` under ``actor{i}_`` keys."""
+    """Versioned binary dump of configs and the :func:`_stored_parts` of
+    ``state``."""
     path = Path(path)
-    has_optimizer = state.actor_opt is not None and state.critic_opt is not None
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "env_config": config_as_dict(state.env_config),
@@ -733,15 +742,10 @@ def save_checkpoint(path: str | Path, state: CheckpointBundle) -> Path:
         "n_actor_nets": state.actors.net.members,
         "actor_layer_sizes": list(state.actors.net.layer_sizes),
         "critic_layer_sizes": list(state.critic.layer_sizes),
-        "has_optimizer": has_optimizer,
+        "has_optimizer": True,
         "has_normalizer": state.normalizer is not None,
     }
-    arrays = {**state.actors.net.state_arrays("actor{}_"), **state.critic.state_arrays("critic_")}
-    if has_optimizer:
-        arrays.update(state.actor_opt.state_arrays("actor{}_opt_"))
-        arrays.update(state.critic_opt.state_arrays("critic_opt_"))
-    if state.normalizer is not None:
-        arrays.update(state.normalizer.state_arrays("vnorm_"))
+    arrays = {k: a for prefix, part in _stored_parts(state) for k, a in part.state_arrays(prefix).items()}
     with atomic_write(path, "wb") as fh:
         np.savez_compressed(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
     return path
@@ -782,16 +786,8 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
             None,
         )
         state.update_index = _as_int(meta["update_index"], "update_index")
-        state.actors.net.load_state_arrays("actor{}_", arrays)
-        state.critic.load_state_arrays("critic_", arrays)
-        if meta.get("has_optimizer"):
-            state.actor_opt.load_state_arrays("actor{}_opt_", arrays)
-            state.critic_opt.load_state_arrays("critic_opt_", arrays)
-        else:
-            state.actor_opt = state.critic_opt = None
-        state.normalizer = ValueNormalizer() if meta.get("has_normalizer") else None
-        if state.normalizer is not None:
-            state.normalizer.load_state_arrays("vnorm_", arrays)
+        for prefix, part in _stored_parts(state):
+            part.load_state_arrays(prefix, arrays)
     except (ConfigError, KeyError, ValueError) as exc:
         # a missing array or meta key, a bad config section, or a shape mismatch
         raise ConfigError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc
@@ -820,8 +816,8 @@ def check_dimensions(source: str, trained_on: EnvConfig, requested: EnvConfig) -
 # trainer
 
 
-class Trainer:
-    """Owns the training state and runs the update loop.
+class Trainer(CheckpointBundle):
+    """A training state that runs the update loop.
 
     Writes one progress record per update when given a progress path (see
     :meth:`train`) and a checkpoint every ``eval_interval`` updates plus a
@@ -848,18 +844,12 @@ class Trainer:
         self._start(_new_state(env_config, train_config, seed, init_rng), out_dir)
 
     def _start(self, state: CheckpointBundle, out_dir: Optional[str | Path]) -> None:
-        """Take over the networks, optimizers and update count of ``state``
-        and start a fresh environment and the seed's sampling streams."""
-        self.env_config = env_config = state.env_config
-        self.train_config = state.train_config
-        self.seed = seed = state.seed
+        """Take over ``state`` and start a fresh environment and the seed's
+        sampling streams."""
+        vars(self).update(vars(state))
+        seed = self.seed
         self.out_dir = Path(out_dir) if out_dir is not None else None
-        self.update_index = state.update_index
-        self.actors, self.critic = state.actors, state.critic
-        self.actor_opt, self.critic_opt = state.actor_opt, state.critic_opt
-        self.normalizer = state.normalizer
-
-        self.env = DispatchEnv(replace(env_config, seed=_derived_seed(seed, 0)))
+        self.env = DispatchEnv(replace(self.env_config, seed=_derived_seed(seed, 0)))
         self._sample_rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
         self._shuffle_rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
         self._eval_seed = _derived_seed(seed, 4)
@@ -869,21 +859,15 @@ class Trainer:
     def from_checkpoint(
         cls, path: str | Path, out_dir: Optional[str | Path] = None
     ) -> "Trainer":
-        bundle = load_checkpoint(path)
-        if bundle.actor_opt is None or bundle.critic_opt is None:
-            raise ConfigError(f"checkpoint {path} has no optimizer state; cannot resume")
         trainer = cls.__new__(cls)  # no fresh networks: the checkpoint's replace them
-        trainer._start(bundle, out_dir)
+        trainer._start(load_checkpoint(path), out_dir)
         return trainer
 
     def policy(self, greedy: bool = False) -> MappoPolicy:
         return MappoPolicy(self.actors, greedy=greedy)
 
     def save(self, path: str | Path) -> Path:
-        return save_checkpoint(path, CheckpointBundle(
-            self.env_config, self.train_config, self.update_index, self.seed,
-            self.actors, self.critic, self.actor_opt, self.critic_opt, self.normalizer,
-        ))
+        return save_checkpoint(path, self)
 
     def run_update(self) -> UpdateStats:
         """One rollout, GAE and PPO update, on one BLAS thread (see

@@ -337,17 +337,15 @@ class PolicyHeads:
         return self.sample_queries(rng), self.sample_dispatch(rng, arrivals)
 
     def greedy_queries(self) -> np.ndarray:
+        """Mode of the query head: query iff p > 0.5."""
         return (self.query_probs > 0.5).astype(np.int8)
 
     def greedy_dispatch(self, arrivals: Sequence[bool]) -> np.ndarray:
+        """Mode of the dispatch head (the argmax) where a job arrived, else -1."""
         dispatch = np.full(self.batch, -1, dtype=np.int64)
         rows = np.asarray(arrivals).nonzero()[0]
         dispatch[rows] = self.dispatch_probs[rows].argmax(axis=1)
         return dispatch
-
-    def greedy(self, arrivals: Sequence[bool]) -> tuple[np.ndarray, np.ndarray]:
-        """Mode of each head: query iff p > 0.5, dispatch to the argmax."""
-        return self.greedy_queries(), self.greedy_dispatch(arrivals)
 
     def log_prob_queries(self, bits: np.ndarray) -> np.ndarray:
         """Sum of Bernoulli log-probabilities for the query bits."""

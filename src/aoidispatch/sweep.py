@@ -75,6 +75,9 @@ def apply_swept_value(base: EnvConfig, parameter: str, value: Any) -> EnvConfig:
     return replace(base, **{parameter: value})
 
 
+ACCOUNTING_TOLERANCE = 1e-9  # largest |reward - (throughput - cost * queries)| a row may show
+
+
 @dataclass(frozen=True)
 class ResultRow:
     """One evaluated sweep cell. All metrics are per-slot team averages and
@@ -90,7 +93,7 @@ class ResultRow:
     drops_per_slot: float
     query_cost: float
 
-    def check_accounting(self, tolerance: float = 1e-9) -> None:
+    def check_accounting(self, tolerance: float = ACCOUNTING_TOLERANCE) -> None:
         expected = self.throughput_per_slot - self.query_cost * self.queries_per_slot
         if not abs(self.reward_per_slot - expected) <= tolerance:  # NaN fails too
             raise AccountingError(
@@ -374,8 +377,9 @@ def emit_report(
     """Write the row file and the per-(policy, value) aggregate file.
 
     Every row is checked against reward = throughput - query_cost * queries
-    (tolerance 1e-9); a violation raises :class:`AccountingError`. Output is
-    byte-identical across reruns with identical inputs.
+    to within :data:`ACCOUNTING_TOLERANCE`; a violation raises
+    :class:`AccountingError`. Output is byte-identical across reruns with
+    identical inputs.
     """
     if not rows:
         raise ConfigError("no rows to report")

@@ -22,6 +22,7 @@ from aoidispatch import (
     value_loss,
 )
 from aoidispatch import mappo, nn
+from aoidispatch.cli import main
 from aoidispatch.env import DispatchEnv, JointAction, dispatch_targets
 from aoidispatch.mappo import (
     RolloutBuffer,
@@ -34,6 +35,7 @@ from aoidispatch.mappo import (
     encode_critic_state,
     mappo_update,
     normalize_advantages,
+    save_checkpoint,
 )
 from aoidispatch.nn import Adam, DenseNet, PolicyHeads
 
@@ -197,6 +199,18 @@ def small_setup(seed=0, sharing=True, n=2, k=2, horizon=64, rollout=32, two_phas
 def same_bytes(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def stored_arrays(path):
+    with np.load(path) as data:
+        return {key: data[key] for key in data.files}
+
+
+def same_checkpoint(path_a, path_b):
+    """Same keys in the same order, and every array (meta too) the same
+    dtype, shape and bytes."""
+    a, b = stored_arrays(path_a), stored_arrays(path_b)
+    return list(a) == list(b) and all(same_bytes(a[key], b[key]) for key in a)
 
 
 class TestCollectRollout:
@@ -688,6 +702,19 @@ class TestCheckpoints:
         with pytest.raises(ConfigError, match="not_a_checkpoint.npz"):
             Trainer.from_checkpoint(path)
 
+    def test_checkpoint_without_optimizer_state_rejected(self, tmp_path):
+        env_cfg, train_cfg = small_setup()
+        arrays = stored_arrays(Trainer(env_cfg, train_cfg, seed=0).save(tmp_path / "ckpt.npz"))
+        meta = json.loads(bytes(arrays.pop("meta")).decode())
+        meta["has_optimizer"] = False
+        arrays = {key: a for key, a in arrays.items() if "_opt_" not in key}
+        path = tmp_path / "no_optimizer.npz"
+        np.savez_compressed(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        for load in (load_checkpoint, load_policy, Trainer.from_checkpoint):
+            with pytest.raises(ConfigError, match="malformed checkpoint .*no_optimizer.npz"):
+                load(path)
+        assert main(["evaluate", "--checkpoint", str(path), "--episodes", "1"]) == 2
+
     def test_optimizer_state_restored(self, tmp_path):
         env_cfg, train_cfg = small_setup()
         trainer = Trainer(env_cfg, train_cfg, seed=37)
@@ -697,6 +724,47 @@ class TestCheckpoints:
         bundle = load_checkpoint(path)
         assert np.array_equal(bundle.actor_opt.t, t_before)
         assert np.array_equal(bundle.actor_opt.m[0], trainer.actor_opt.m[0])
+
+
+# (env, train) overrides of small configs at the edges of what validates
+DEGENERATE = {
+    "1x1-capacity-1": (dict(n_dispatchers=1, n_servers=1, queue_capacity=1), {}),
+    "no-arrivals": (dict(arrival_prob=0.0), {}),
+    "arrivals-every-slot": (dict(arrival_prob=1.0), {}),
+    "horizon-1": (dict(horizon=1), {}),
+    "rollout-1": ({}, dict(rollout_length=1)),
+    "more-minibatches-than-samples": ({}, dict(minibatch_count=64)),  # 8 slots x 2 dispatchers
+    "two-phase-per-dispatcher-no-arrivals": (
+        dict(arrival_prob=0.0), dict(two_phase_policy=True, parameter_sharing=False)
+    ),
+    "width-1-hidden-layer": ({}, dict(hidden_sizes=(1,))),
+    "query-cost-1e6": (dict(query_cost=1e6), {}),
+}
+
+
+@pytest.mark.parametrize("env_kwargs, train_kwargs", DEGENERATE.values(), ids=DEGENERATE)
+def test_degenerate_config_trains_saves_and_resumes(tmp_path, env_kwargs, train_kwargs):
+    env_cfg = EnvConfig(**{"n_dispatchers": 2, "n_servers": 2, "horizon": 16, **env_kwargs})
+    train_cfg = TrainConfig(**{
+        "rollout_length": 8, "total_updates": 2, "eval_interval": 100, "eval_episodes": 1,
+        "hidden_sizes": (8,), **train_kwargs,
+    })
+    trainer = Trainer(env_cfg, train_cfg, seed=3)
+    records = trainer.train()
+    assert len(records) == 2
+    assert all(np.isfinite(value) for record in records for value in record.values())
+
+    path = trainer.save(tmp_path / "ckpt.npz")
+    assert same_checkpoint(path, save_checkpoint(tmp_path / "again.npz", load_checkpoint(path)))
+    policy, loaded_cfg = load_policy(path)
+    assert evaluate(policy, loaded_cfg, 2, seed=5) == evaluate(trainer.policy(), env_cfg, 2, seed=5)
+
+    # two resumes take the same update: parameters, optimizers and normalizer bitwise
+    for name in ("resumed0.npz", "resumed1.npz"):
+        twin = Trainer.from_checkpoint(path)
+        twin.run_update()
+        twin.save(tmp_path / name)
+    assert same_checkpoint(tmp_path / "resumed0.npz", tmp_path / "resumed1.npz")
 
 
 class TestTrainerLoop:

@@ -205,10 +205,10 @@ class TestPolicyHeads:
     def test_greedy_picks_modes(self):
         logits = np.array([[5.0, -5.0, 0.0, 3.0]])
         heads = PolicyHeads(logits, n_servers=2)
-        bits, disp = heads.greedy([True])
+        bits, disp = heads.greedy_queries(), heads.greedy_dispatch([True])
         assert bits.tolist() == [[1, 0]]
         assert disp.tolist() == [1]
-        _, disp_none = heads.greedy([False])
+        disp_none = heads.greedy_dispatch([False])
         assert disp_none.tolist() == [-1]
 
     def test_dispatch_sampling_matches_per_row_draws(self):
