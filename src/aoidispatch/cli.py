@@ -46,17 +46,13 @@ def _trajectory_records(env: DispatchEnv, policy, slots: int):
     for _ in range(slots):
         if env.done:
             env.reset()
-        slot = env.slot
-        available = env.world.available.tolist()
-        queue_lengths = env.world.length.tolist()
-        arrivals = env.arrivals.tolist()
         action = policy.act(env)
         outcome = env.step(action)
         yield {
-            "slot": slot,
-            "available": available,
-            "queue_lengths": queue_lengths,
-            "arrivals": arrivals,
+            "slot": outcome.slot,
+            "available": outcome.reported_available,
+            "queue_lengths": outcome.start_queue,
+            "arrivals": [target is not None for target in action.dispatch],
             "queries": [[int(b) for b in row] for row in action.queries],
             "dispatch": list(action.dispatch),
             "rewards": list(outcome.rewards),

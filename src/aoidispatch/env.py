@@ -149,18 +149,22 @@ class WorldState:
 
 @dataclass(slots=True)
 class StepOutcome:
-    """What one slot did. ``knowledge``, ``feedback`` and ``observations``
-    are built from the step's end state when read."""
+    """What one slot did, and its slot-start ``start_planes``, ``start_queue``
+    and availability (``reported_available``). ``knowledge``, ``feedback``
+    and ``observations`` are built from the step's end state when read."""
 
+    slot: int
     rewards: tuple[float, ...]
     team_reward: float
     completions: tuple[int, ...]
     drops: tuple[int, ...]
     queries_issued: tuple[int, ...]
-    arrivals: tuple[bool, ...]
-    planes: np.ndarray  # end-of-step knowledge, see WorldState.planes
+    arrivals: tuple[bool, ...]  # (N,) the next slot's
+    start_planes: np.ndarray  # (3, N, K), see WorldState.planes
+    planes: np.ndarray  # end-of-step knowledge
     naks: list[Event]
     acks: list[Event]
+    start_queue: list[int]  # (K,) queue lengths
     reported_available: list[bool]  # (K,) status payload of this slot's feedback
     reported_queue: list[int]  # (K,)
 
@@ -300,7 +304,7 @@ class DispatchEnv:
             moves.append((n, target))
 
         # phase 1: slot-start values, for queries and feedback payloads
-        available, length_arr, head_arr = world.available, world.length, world.head
+        available, length_arr, head_arr, start_planes = world.available, world.length, world.head, world.planes
         fresh = self._fresh
         fresh[0, 0] = available
         fresh[1, 0] = length_arr
@@ -356,7 +360,7 @@ class DispatchEnv:
 
         # phase 5: knowledge; where a query and a post-service report meet,
         # the query's slot-start queue wins
-        planes = world.planes + _AGE_STEP
+        planes = start_planes + _AGE_STEP
         heard = queries.copy()
         for owner_n, server, _ in naks:
             heard[owner_n, server] = True
@@ -381,8 +385,8 @@ class DispatchEnv:
         world.slot += 1
 
         return StepOutcome(
-            tuple(rewards), sum(rewards), tuple(completions), tuple(drops), tuple(query_counts),
-            tuple(arrivals), planes, naks, acks, up, reported,
+            world.slot - 1, tuple(rewards), sum(rewards), tuple(completions), tuple(drops),
+            tuple(query_counts), tuple(arrivals), start_planes, planes, naks, acks, queue, up, reported,
         )
 
     @property
@@ -412,10 +416,6 @@ class DispatchEnv:
         planes = np.where(queries, answers, world.planes)
         planes.setflags(write=False)
         return _knowledge(planes)
-
-    @property
-    def slot(self) -> int:
-        return self.world.slot
 
     @property
     def arrivals(self) -> np.ndarray:

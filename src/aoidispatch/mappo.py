@@ -228,11 +228,10 @@ class ValueNormalizer:
     transform is the identity.
     """
 
+    rate = 0.99  # fixed; checkpoints store it, and one with another rate does not load
+
     def __init__(self):
-        self.rate = 0.99
-        self.mean = 0.0
-        self.sq = 0.0
-        self.weight = 0.0
+        self.mean = self.sq = self.weight = 0.0
 
     def update(self, targets: np.ndarray) -> None:
         self.mean = self.rate * self.mean + (1.0 - self.rate) * float(np.mean(targets))
@@ -258,7 +257,9 @@ class ValueNormalizer:
         return {f"{prefix}stats": np.array([self.mean, self.sq, self.weight, self.rate])}
 
     def load_state_arrays(self, prefix: str, arrays) -> None:
-        self.mean, self.sq, self.weight, self.rate = (float(v) for v in arrays[f"{prefix}stats"])
+        self.mean, self.sq, self.weight, rate = (float(v) for v in arrays[f"{prefix}stats"])
+        if rate != self.rate:
+            raise ValueError(f"{prefix}stats holds the rate {rate!r}, not {self.rate!r}")
 
 
 def collect_rollout(

@@ -10,6 +10,7 @@ the same checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -56,67 +57,54 @@ def random_env_config(rng: np.random.Generator) -> EnvConfig:
     )
 
 
+def invariant_violation(cfg: EnvConfig, steps: int, rng: np.random.Generator) -> Optional[str]:
+    """The first invariant that ``steps`` slots of :func:`random_joint_action`
+    from ``rng`` break on a fresh env of ``cfg``, or None: per slot, queue
+    bounds, ages (1 after a query, ACK or NAK, else one more), at most one ACK
+    per server and team reward = sum of rewards; then job conservation."""
+    env = DispatchEnv(cfg)
+    dispatched = completed = dropped = 0
+    for _ in range(steps):
+        action = random_joint_action(env, rng)
+        outcome = env.step(action)
+        length = env.world.length
+        over = np.flatnonzero((length < 0) | (length > cfg.queue_capacity))
+        if over.size:
+            return f"queue bound violated at server {over[0]}"
+        heard = action.queries.copy()
+        for n, k, _ in outcome.naks + outcome.acks:
+            heard[n, k] = True
+        aoi = outcome.knowledge.aoi
+        wrong = np.argwhere((aoi != np.where(heard, 1, outcome.start_planes[2] + 1)) | (aoi < 1))
+        if wrong.size:
+            return f"age update wrong for ({wrong[0, 0]},{wrong[0, 1]})"
+        if abs(outcome.team_reward - sum(outcome.rewards)) > 1e-12:
+            return "team reward is not the sum of dispatcher rewards"
+        served = [k for _, k, _ in outcome.acks]
+        if len(set(served)) < len(served):
+            return "more than one completion on one server in one slot"
+        dispatched += sum(1 for d in action.dispatch if d is not None)
+        completed += sum(outcome.completions)
+        dropped += sum(outcome.drops)
+    residual = int(env.world.length.sum())
+    if dispatched != completed + dropped + residual:
+        return f"conservation violated: {dispatched} != {completed}+{dropped}+{residual}"
+    return None
+
+
 def check_environment_invariants(
     seed: int = 0, n_configs: int = 10, steps_per_config: int = 400
 ) -> CheckResult:
-    """Queue bounds, age dynamics, reward decomposition, single completion
-    per server per slot, and per-episode job conservation under random
-    actions."""
+    """:func:`invariant_violation` on ``n_configs`` random configs, each run
+    for ``steps_per_config`` slots without a reset, so job conservation
+    covers each config's whole run."""
     rng = np.random.default_rng(seed)
-    problems: list[str] = []
-    total_steps = 0
     for _ in range(n_configs):
-        cfg = random_env_config(rng)
-        env = DispatchEnv(cfg)
-        dispatched = completed = dropped = 0
-        prev_aoi = [list(env.observe(n).aoi) for n in range(cfg.n_dispatchers)]
-        for _ in range(steps_per_config):
-            action = random_joint_action(env, rng)
-            fed_from = {
-                (n, k)
-                for n in range(cfg.n_dispatchers)
-                for k in range(cfg.n_servers)
-                if action.queries[n][k]
-            }
-            outcome = env.step(action)
-            total_steps += 1
-            for event in outcome.feedback:
-                fed_from.add((event.dispatcher, event.server))
-            for k, length in enumerate(env.world.length.tolist()):
-                if not 0 <= length <= cfg.queue_capacity[k]:
-                    problems.append(f"queue bound violated at server {k}")
-            for n in range(cfg.n_dispatchers):
-                snap = env.observe(n)
-                for k in range(cfg.n_servers):
-                    expect = 1 if (n, k) in fed_from else prev_aoi[n][k] + 1
-                    if snap.aoi[k] != expect:
-                        problems.append(f"age update wrong for ({n},{k})")
-                prev_aoi[n] = list(snap.aoi)
-            if abs(outcome.team_reward - sum(outcome.rewards)) > 1e-12:
-                problems.append("team reward is not the sum of dispatcher rewards")
-            per_server_acks = [0] * cfg.n_servers
-            for event in outcome.feedback:
-                if event.accepted:
-                    per_server_acks[event.server] += 1
-            if any(c > 1 for c in per_server_acks):
-                problems.append("more than one completion on one server in one slot")
-            dispatched += sum(1 for d in action.dispatch if d is not None)
-            completed += sum(outcome.completions)
-            dropped += sum(outcome.drops)
-            if problems:
-                break
-        residual = int(env.world.length.sum())
-        if dispatched != completed + dropped + residual:
-            problems.append(
-                f"conservation violated: {dispatched} != {completed}+{dropped}+{residual}"
-            )
-        if problems:
-            break
-    if problems:
-        return CheckResult("environment invariants", False, problems[0])
-    return CheckResult(
-        "environment invariants", True, f"{total_steps} randomized steps across {n_configs} configs"
-    )
+        problem = invariant_violation(random_env_config(rng), steps_per_config, rng)
+        if problem is not None:
+            return CheckResult("environment invariants", False, problem)
+    steps = f"{n_configs * steps_per_config} randomized steps across {n_configs} configs"
+    return CheckResult("environment invariants", True, steps)
 
 
 def check_replay_determinism(seed: int = 7, slots: int = 200) -> CheckResult:

@@ -23,9 +23,11 @@ from aoidispatch import (
 )
 from aoidispatch import cli, mappo, records, sweep
 from aoidispatch.cli import main
-from aoidispatch.mappo import EvalStats
+from aoidispatch.mappo import EvalStats, _derived_seed, evaluate, load_policy
+from aoidispatch.nn import one_blas_thread
 from aoidispatch.sweep import (
     AGGREGATE_FIELDS,
+    METRICS,
     ROW_FIELDS,
     ResultRow,
     SweepSpec,
@@ -317,6 +319,33 @@ BAD_SPEC_SECTIONS = [
     {"values": "0.1"},
     {"policies": [1]},
 ]
+
+
+def test_checkpoint_scores_the_same_from_api_cli_and_sweep(tmp_path, capsys):
+    """Each row of a ``mappo:<ckpt>`` sweep equals ``evaluate`` at the cell's
+    derived seed, on the caller's BLAS threads and on one, and the
+    ``evaluate`` verb given that seed and the swept value."""
+    trainer = Trainer(EnvConfig(**tiny_env_kwargs()),
+                      TrainConfig(rollout_length=16, total_updates=2, hidden_sizes=(8,)), seed=3)
+    trainer.train()
+    ckpt = trainer.save(tmp_path / "ckpt.npz")
+    spec = SweepSpec.from_dict(tiny_spec_dict([f"mappo:{ckpt}"], values=(0.0, 0.05), seeds=(0, 1)))
+    rows = run_sweep(spec, tmp_path / "out")
+    assert len(rows) == 2 * 2
+    policy, _ = load_policy(ckpt)
+    cells = spec.validate()
+    for row in rows:
+        value_index = spec.values.index(row.value)
+        seed = _derived_seed(row.seed, 0, value_index)
+        api = evaluate(policy, cells[value_index], 2, seed)
+        with one_blas_thread():
+            assert evaluate(policy, cells[value_index], 2, seed) == api
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--episodes", "2", "--seed", str(seed),
+                     "--set", f"query_cost={row.value!r}"]) == 0
+        from_cli = json.loads(capsys.readouterr().out)
+        for metric in METRICS:
+            assert getattr(row, metric) == getattr(api, metric) == from_cli[metric]
 
 
 class TestSweepSpec:

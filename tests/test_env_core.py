@@ -479,7 +479,7 @@ class TestActionContract:
         with pytest.raises(ContractViolation, match="not an integer"):
             env.step(JointAction(((False, False),), (target,)))
         assert env.world.length.tolist() == [0, 0]
-        assert env.world.next_job_id == 0 and env.slot == 0
+        assert env.world.next_job_id == 0 and env.world.slot == 0
 
 
 class TestObserve:

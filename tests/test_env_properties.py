@@ -10,59 +10,14 @@ from hypothesis import strategies as st
 
 from aoidispatch import BaselineKind, BaselinePolicy, EnvConfig
 from aoidispatch.env import DispatchEnv
-from aoidispatch.selftest import random_env_config, random_joint_action
-
-
-def run_invariant_episode(cfg: EnvConfig, steps: int, rng: np.random.Generator):
-    """Drive one env with random actions, asserting the per-slot invariants."""
-    env = DispatchEnv(cfg)
-    prev_aoi = [list(env.observe(n).aoi) for n in range(cfg.n_dispatchers)]
-    dispatched = completed = dropped = 0
-    for _ in range(steps):
-        action = random_joint_action(env, rng)
-        touched = {
-            (n, k)
-            for n in range(cfg.n_dispatchers)
-            for k in range(cfg.n_servers)
-            if action.queries[n][k]
-        }
-        outcome = env.step(action)
-        touched |= {(e.dispatcher, e.server) for e in outcome.feedback}
-
-        for k, length in enumerate(env.world.length.tolist()):
-            assert 0 <= length <= cfg.queue_capacity[k]
-
-        acks_per_server = [0] * cfg.n_servers
-        for event in outcome.feedback:
-            if event.accepted:
-                acks_per_server[event.server] += 1
-        assert all(c <= 1 for c in acks_per_server)
-
-        assert outcome.team_reward == pytest.approx(sum(outcome.rewards), abs=1e-12)
-
-        for n in range(cfg.n_dispatchers):
-            snap = env.observe(n)
-            for k in range(cfg.n_servers):
-                assert snap.aoi[k] >= 1
-                if (n, k) in touched:
-                    assert snap.aoi[k] == 1
-                else:
-                    assert snap.aoi[k] == prev_aoi[n][k] + 1
-            prev_aoi[n] = list(snap.aoi)
-
-        dispatched += sum(1 for d in action.dispatch if d is not None)
-        completed += sum(outcome.completions)
-        dropped += sum(outcome.drops)
-
-    residual = int(env.world.length.sum())
-    assert dispatched == completed + dropped + residual
+from aoidispatch.selftest import invariant_violation, random_env_config, random_joint_action
 
 
 def test_randomized_invariants_across_configs():
     rng = np.random.default_rng(2024)
     for _ in range(20):
         cfg = random_env_config(rng)
-        run_invariant_episode(cfg, steps=300, rng=rng)
+        assert invariant_violation(cfg, 300, rng) is None
 
 
 def test_invariants_with_drop_newest():
@@ -73,7 +28,7 @@ def test_invariants_with_drop_newest():
     )
     # conservation holds for the rejected-incoming variant too: the NAKed
     # incoming job counts as dispatched and dropped
-    run_invariant_episode(cfg, steps=500, rng=rng)
+    assert invariant_violation(cfg, 500, rng) is None
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -81,7 +36,7 @@ def test_invariants_with_drop_newest():
 def test_invariants_hypothesis(seed):
     rng = np.random.default_rng(seed)
     cfg = random_env_config(rng)
-    run_invariant_episode(cfg, steps=120, rng=rng)
+    assert invariant_violation(cfg, 120, rng) is None
 
 
 def test_full_replay_determinism_bitwise():

@@ -715,6 +715,17 @@ class TestCheckpoints:
                 load(path)
         assert main(["evaluate", "--checkpoint", str(path), "--episodes", "1"]) == 2
 
+    def test_checkpoint_with_another_normalizer_rate_rejected(self, tmp_path):
+        env_cfg, train_cfg = small_setup()
+        arrays = stored_arrays(Trainer(env_cfg, train_cfg, seed=0).save(tmp_path / "ckpt.npz"))
+        assert arrays["vnorm_stats"][3] == ValueNormalizer.rate == 0.99
+        arrays["vnorm_stats"][3] = 0.5
+        path = tmp_path / "edited_rate.npz"
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ConfigError, match="malformed checkpoint .*edited_rate.npz: ValueError: "
+                                              "vnorm_stats holds the rate 0.5, not 0.99"):
+            load_checkpoint(path)
+
     def test_optimizer_state_restored(self, tmp_path):
         env_cfg, train_cfg = small_setup()
         trainer = Trainer(env_cfg, train_cfg, seed=37)

@@ -1,5 +1,10 @@
 """The built-in check suite behind the selftest CLI verb."""
 
+import numpy as np
+import pytest
+
+from aoidispatch import env
+from aoidispatch.env import DispatchEnv
 from aoidispatch.selftest import (
     ALL_CHECKS,
     check_categorical_normalization,
@@ -42,3 +47,43 @@ def test_log_callback_receives_lines():
     run_all(log=lines.append)
     assert len(lines) == len(ALL_CHECKS)
     assert all(line.startswith(("PASS", "FAIL")) for line in lines)
+
+
+def _after_each_step(monkeypatch, fault):
+    """Run ``fault(world, config)`` after every :meth:`DispatchEnv.step`."""
+    step = DispatchEnv.step
+
+    def faulty_step(self, action):
+        outcome = step(self, action)
+        fault(self.world, self.config)
+        return outcome
+
+    monkeypatch.setattr(DispatchEnv, "step", faulty_step)
+
+
+def _overfill_first_queue(world, config):
+    world.length[0] = config.queue_capacity[0] + 1
+
+
+def _lose_a_queued_job(world, config):
+    queued = np.flatnonzero(world.length)
+    if queued.size:
+        world.length[queued[0]] -= 1
+
+
+def test_invariant_check_catches_wrong_ageing(monkeypatch):
+    monkeypatch.setattr(env, "_AGE_STEP", np.array([0, 0, 2]).reshape(3, 1, 1))
+    result = check_environment_invariants()
+    assert not result.passed
+    assert result.detail.startswith("age update wrong")
+
+
+@pytest.mark.parametrize("fault,problem", [
+    (_overfill_first_queue, "queue bound violated at server 0"),
+    (_lose_a_queued_job, "conservation violated"),
+])
+def test_invariant_check_catches_broken_queues(monkeypatch, fault, problem):
+    _after_each_step(monkeypatch, fault)
+    result = check_environment_invariants()
+    assert not result.passed
+    assert result.detail.startswith(problem)
