@@ -304,7 +304,8 @@ class DispatchEnv:
             moves.append((n, target))
 
         # phase 1: slot-start values, for queries and feedback payloads
-        available, length_arr, head_arr, start_planes = world.available, world.length, world.head, world.planes
+        available, length_arr, head_arr = world.available, world.length, world.head
+        start_planes = world.planes
         fresh = self._fresh
         fresh[0, 0] = available
         fresh[1, 0] = length_arr
@@ -362,9 +363,7 @@ class DispatchEnv:
         # the query's slot-start queue wins
         planes = start_planes + _AGE_STEP
         heard = queries.copy()
-        for owner_n, server, _ in naks:
-            heard[owner_n, server] = True
-        for owner_n, server, _ in acks:
+        for owner_n, server, _ in naks + acks:
             heard[owner_n, server] = True
         np.copyto(planes, fresh, where=heard)
         if reported is not queue:

@@ -231,7 +231,9 @@ class ValueNormalizer:
     rate = 0.99  # fixed; checkpoints store it, and one with another rate does not load
 
     def __init__(self):
-        self.mean = self.sq = self.weight = 0.0
+        self.mean = 0.0
+        self.sq = 0.0
+        self.weight = 0.0
 
     def update(self, targets: np.ndarray) -> None:
         self.mean = self.rate * self.mean + (1.0 - self.rate) * float(np.mean(targets))

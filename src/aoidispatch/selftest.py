@@ -58,9 +58,9 @@ def random_env_config(rng: np.random.Generator) -> EnvConfig:
 
 
 def invariant_violation(cfg: EnvConfig, steps: int, rng: np.random.Generator) -> Optional[str]:
-    """The first invariant that ``steps`` slots of :func:`random_joint_action`
-    from ``rng`` break on a fresh env of ``cfg``, or None: per slot, queue
-    bounds, ages (1 after a query, ACK or NAK, else one more), at most one ACK
+    """The first invariant ``steps`` slots of :func:`random_joint_action` from
+    ``rng`` break on a fresh env of ``cfg``, or None: per slot, queue bounds,
+    stored ages (1 after a query, ACK or NAK, else one more), at most one ACK
     per server and team reward = sum of rewards; then job conservation."""
     env = DispatchEnv(cfg)
     dispatched = completed = dropped = 0
@@ -74,14 +74,13 @@ def invariant_violation(cfg: EnvConfig, steps: int, rng: np.random.Generator) ->
         heard = action.queries.copy()
         for n, k, _ in outcome.naks + outcome.acks:
             heard[n, k] = True
-        aoi = outcome.knowledge.aoi
+        aoi = env.knowledge.aoi
         wrong = np.argwhere((aoi != np.where(heard, 1, outcome.start_planes[2] + 1)) | (aoi < 1))
         if wrong.size:
             return f"age update wrong for ({wrong[0, 0]},{wrong[0, 1]})"
         if abs(outcome.team_reward - sum(outcome.rewards)) > 1e-12:
             return "team reward is not the sum of dispatcher rewards"
-        served = [k for _, k, _ in outcome.acks]
-        if len(set(served)) < len(served):
+        if len({k for _, k, _ in outcome.acks}) < len(outcome.acks):
             return "more than one completion on one server in one slot"
         dispatched += sum(1 for d in action.dispatch if d is not None)
         completed += sum(outcome.completions)
@@ -103,8 +102,8 @@ def check_environment_invariants(
         problem = invariant_violation(random_env_config(rng), steps_per_config, rng)
         if problem is not None:
             return CheckResult("environment invariants", False, problem)
-    steps = f"{n_configs * steps_per_config} randomized steps across {n_configs} configs"
-    return CheckResult("environment invariants", True, steps)
+    detail = f"{n_configs * steps_per_config} randomized steps across {n_configs} configs"
+    return CheckResult("environment invariants", True, detail)
 
 
 def check_replay_determinism(seed: int = 7, slots: int = 200) -> CheckResult:
@@ -121,9 +120,8 @@ def check_replay_determinism(seed: int = 7, slots: int = 200) -> CheckResult:
             )
         traces.append(trace)
     ok = traces[0] == traces[1]
-    return CheckResult(
-        "replay determinism", ok, f"{slots} slots replayed {'identically' if ok else 'differently'}"
-    )
+    detail = f"{slots} slots replayed {'identically' if ok else 'differently'}"
+    return CheckResult("replay determinism", ok, detail)
 
 
 def check_stationary_distribution() -> CheckResult:

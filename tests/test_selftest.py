@@ -50,25 +50,29 @@ def test_log_callback_receives_lines():
 
 
 def _after_each_step(monkeypatch, fault):
-    """Run ``fault(world, config)`` after every :meth:`DispatchEnv.step`."""
+    """Run ``fault(world, config, outcome)`` after every :meth:`DispatchEnv.step`."""
     step = DispatchEnv.step
 
     def faulty_step(self, action):
         outcome = step(self, action)
-        fault(self.world, self.config)
+        fault(self.world, self.config, outcome)
         return outcome
 
     monkeypatch.setattr(DispatchEnv, "step", faulty_step)
 
 
-def _overfill_first_queue(world, config):
+def _overfill_first_queue(world, config, outcome):
     world.length[0] = config.queue_capacity[0] + 1
 
 
-def _lose_a_queued_job(world, config):
+def _lose_a_queued_job(world, config, outcome):
     queued = np.flatnonzero(world.length)
     if queued.size:
         world.length[queued[0]] -= 1
+
+
+def _keep_slot_start_knowledge(world, config, outcome):
+    world.planes = outcome.start_planes
 
 
 def test_invariant_check_catches_wrong_ageing(monkeypatch):
@@ -81,8 +85,9 @@ def test_invariant_check_catches_wrong_ageing(monkeypatch):
 @pytest.mark.parametrize("fault,problem", [
     (_overfill_first_queue, "queue bound violated at server 0"),
     (_lose_a_queued_job, "conservation violated"),
+    (_keep_slot_start_knowledge, "age update wrong"),
 ])
-def test_invariant_check_catches_broken_queues(monkeypatch, fault, problem):
+def test_invariant_check_catches_broken_steps(monkeypatch, fault, problem):
     _after_each_step(monkeypatch, fault)
     result = check_environment_invariants()
     assert not result.passed
